@@ -222,9 +222,10 @@ def cmd_evaluate(args) -> int:
               f"acc={row.accuracy:.3f} drops[{drops}]")
 
     os.makedirs(args.out, exist_ok=True)
+    version = version_string()
     if args.report in ("json", "both"):
         report = {
-            "version": version_string(),
+            "version": version,
             "config": _resolved_config(args),
             "rows": [
                 {**r.to_dict(), "snr_db": _json_safe(r.snr_db)} for r in rows
@@ -248,7 +249,7 @@ def cmd_evaluate(args) -> int:
                 f"{r.accuracy:.6f}",
             ]
             cells += [f"{r.drops[p]:.6f}" for p in DEFAULT_P_LIST]
-            cells += [r.dynamic_energy, r.execution_time, version_string()]
+            cells += [r.dynamic_energy, r.execution_time, version]
             lines.append(",".join(cells))
         _atomic_text(os.path.join(args.out, "report.csv"), "\n".join(lines) + "\n")
     return 0

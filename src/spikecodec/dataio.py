@@ -346,6 +346,17 @@ def _sidecar_path(path: str) -> str:
     return base + ".json"
 
 
+def unpack_header(fmt: str, blob: bytes, offset: int, path: str):
+    """struct.unpack_from with a length check: returns (values, offset past
+    them) or raises TruncatedPayloadError when blob ends inside the field."""
+    end = offset + struct.calcsize(fmt)
+    if len(blob) < end:
+        raise TruncatedPayloadError(
+            f"{path}: header truncated ({len(blob)} bytes, field needs {end})"
+        )
+    return struct.unpack_from(fmt, blob, offset), end
+
+
 def read_spikes(path):
     """Read an SPK1 file (and its sidecar if present).
 
@@ -357,17 +368,12 @@ def read_spikes(path):
         blob = fh.read()
     if blob[:4] != SPIKE_MAGIC:
         raise BadMagicError(f"{path}: expected {SPIKE_MAGIC!r}, got {blob[:4]!r}")
-    offset = 4
-    (version,) = struct.unpack_from("<H", blob, offset)
-    offset += 2
+    (version,), offset = unpack_header("<H", blob, 4, path)
     if version != SPIKE_VERSION:
         raise VersionMismatchError(f"{path}: version {version} unsupported")
-    (ndim,) = struct.unpack_from("<B", blob, offset)
-    offset += 1
-    dims = struct.unpack_from(f"<{ndim}I", blob, offset)
-    offset += 4 * ndim
-    (time_step_ms,) = struct.unpack_from("<d", blob, offset)
-    offset += 8
+    (ndim,), offset = unpack_header("<B", blob, offset, path)
+    dims, offset = unpack_header(f"<{ndim}I", blob, offset, path)
+    (time_step_ms,), offset = unpack_header("<d", blob, offset, path)
     count = int(np.prod(dims))
     payload = blob[offset:offset + count]
     if len(payload) < count:

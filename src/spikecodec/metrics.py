@@ -82,10 +82,10 @@ def inject_noise(tensor: SpikeTensor, spec: NoiseSpec) -> SpikeTensor:
     rng = Rng(spec.seed)
     data = tensor.data
     change = rng.uniform(size=data.shape) < spec.error_probability
-    signs = np.where(rng.uniform(size=data.shape) < 0.5, 1, -1).astype(np.int8)
     if spec.mode is NoiseMode.FLIP_BINARY:
         changed = np.where(data == 0, 1, 0).astype(np.int8)
     else:
+        signs = np.where(rng.uniform(size=data.shape) < 0.5, 1, -1).astype(np.int8)
         changed = np.where(data == 0, signs, 0).astype(np.int8)
     out = np.where(change, changed, data).astype(np.int8)
     return SpikeTensor(out, time_step_ms=tensor.time_step_ms,
@@ -102,8 +102,20 @@ class RobustnessRow:
     accuracy_drop: float
 
 
+def clean_accuracy(net, dataset) -> float:
+    """Share of a (SpikeTensor, label) sequence the network classifies
+    correctly without injected errors."""
+    from .snn import classify_batch
+
+    tensors = [t for t, _ in dataset]
+    if not tensors:
+        raise ShapeError("accuracy needs a non-empty dataset")
+    labels = np.asarray([l for _, l in dataset], dtype=np.int64)
+    return float(np.mean(classify_batch(net, tensors) == labels))
+
+
 def robustness_sweep(net, dataset, p_list, mode: NoiseMode,
-                     seed: int = 0) -> list:
+                     seed: int = 0, baseline_accuracy: float = None) -> list:
     """Classify a test set under increasing spike-error probabilities.
 
     dataset is a sequence of (SpikeTensor, label) pairs encoded with the
@@ -111,7 +123,10 @@ def robustness_sweep(net, dataset, p_list, mode: NoiseMode,
     from (seed, sample index) and is shared across the probabilities, so one
     seed fixes a single error-position draw whose change masks nest as p
     grows; drops are then directly comparable along the sweep, and the whole
-    sweep is reproducible and independent of evaluation order.
+    sweep is reproducible and independent of evaluation order.  Drops are
+    taken from baseline_accuracy, computed with clean_accuracy when not
+    given; pass it to share one clean pass between sweeps over several
+    seeds.
     """
     from .snn import classify_batch
 
@@ -120,8 +135,8 @@ def robustness_sweep(net, dataset, p_list, mode: NoiseMode,
     if not tensors:
         raise ShapeError("robustness sweep needs a non-empty dataset")
 
-    baseline = classify_batch(net, tensors)
-    acc0 = float(np.mean(baseline == labels))
+    if baseline_accuracy is None:
+        baseline_accuracy = clean_accuracy(net, dataset)
     rows = []
     for p in p_list:
         noisy = [
@@ -130,5 +145,5 @@ def robustness_sweep(net, dataset, p_list, mode: NoiseMode,
         ]
         pred = classify_batch(net, noisy)
         acc = float(np.mean(pred == labels))
-        rows.append(RobustnessRow(float(p), acc, acc0 - acc))
+        rows.append(RobustnessRow(float(p), acc, baseline_accuracy - acc))
     return rows

@@ -7,19 +7,32 @@ hard-reset to zero.  Training backpropagates through time, replacing the
 threshold derivative with a fast-sigmoid surrogate; a fully differentiable
 soft mode (sigmoid spikes) exists so the whole backward pass can be checked
 against finite differences.
+
+The matmuls of a layer run once over the whole (T * B) block; only the
+element-wise time recurrence steps through time.  That recurrence runs in a
+small C kernel (_cuba.c, built on first use with the system C compiler and
+loaded through ctypes) when one can be built, and in numpy otherwise; the
+two give bitwise the same results, and soft mode always uses numpy.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 import os
+import platform
+import shutil
 import struct
+import subprocess
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Rng, SpikeTensor
+from .dataio import unpack_header
 from .errors import (
     BadMagicError,
     ConfigError,
@@ -32,6 +45,69 @@ from .errors import (
 
 CHECKPOINT_MAGIC = b"CUB1"
 CHECKPOINT_VERSION = 1
+
+_KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_cuba.c")
+# No -ffast-math or -march=native: without FMA contraction the kernel
+# rounds exactly as the numpy reference does.
+_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _load_kernel():
+    """Load the compiled LIF recurrence (_cuba.c), building it on first use.
+
+    The shared library is cached under $XDG_CACHE_HOME (or ~/.cache) in a
+    file named by the hash of the source, flags and machine, so a build
+    happens once per user and source version.  Returns None when there is
+    no C compiler or the build fails; callers then use the numpy reference.
+    """
+    try:
+        with open(_KERNEL_SOURCE, "rb") as fh:
+            source = fh.read()
+        key = hashlib.sha256(source + " ".join(
+            _KERNEL_FLAGS + (platform.machine(),)).encode()).hexdigest()[:16]
+        cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
+                             or os.path.expanduser("~/.cache"), "spikecodec")
+        lib_path = os.path.join(cache, f"cuba-{key}.so")
+        if not os.path.exists(lib_path):
+            compiler = shutil.which("cc") or shutil.which("gcc")
+            if compiler is None:
+                return None
+            os.makedirs(cache, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([compiler, *_KERNEL_FLAGS, "-o", tmp, _KERNEL_SOURCE],
+                               check=True, capture_output=True, timeout=120)
+                os.replace(tmp, lib_path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(lib_path)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    ptr, n, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    lib.cuba_forward.argtypes = [ptr, ptr, ptr, ptr, n, n, real, real, real]
+    lib.cuba_forward.restype = None
+    lib.cuba_backward.argtypes = [ptr, ptr, ptr, n, ptr, ptr, ptr, ptr,
+                                  n, n, real, real, real, real]
+    lib.cuba_backward.restype = None
+    return lib
+
+
+_kernel = functools.cache(_load_kernel)
+
+
+def _ptr(a: np.ndarray, shape, broadcast_time: bool = False) -> int:
+    """Address of a float64 array laid out C-contiguously as shape, for the
+    kernel; with broadcast_time, a time stride of 0 (one row repeated over
+    time) is accepted too."""
+    ok = a.dtype == np.float64 and a.shape == tuple(shape) and (
+        a.flags.c_contiguous
+        or (broadcast_time and a.strides[0] == 0 and a[0].flags.c_contiguous))
+    if not ok:
+        raise ShapeError(f"kernel buffer {a.shape} {a.dtype} strides {a.strides} "
+                         f"is not a C-contiguous float64 block of shape {tuple(shape)}")
+    return a.ctypes.data
 
 
 @dataclass(frozen=True)
@@ -224,14 +300,50 @@ def _stack_batch(tensors) -> np.ndarray:
     return np.stack(feats)  # (B, F, T)
 
 
+def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
+                 slope: float = 10.0):
+    """LIF recurrence over a (T, B, n) block of input currents.
+
+    Overwrites drive with the spikes and, if v_rec is given, records the
+    pre-reset potentials into it.  Hard-threshold runs go to the compiled
+    kernel when there is one; the numpy loop below is the reference it
+    matches bit for bit.
+    """
+    t_len, b, n = drive.shape
+    kernel = None if soft else _kernel()
+    if kernel is not None:
+        state = np.zeros((2, b * n))
+        kernel.cuba_forward(_ptr(drive, drive.shape),
+                            None if v_rec is None else _ptr(v_rec, drive.shape),
+                            state.ctypes.data, state[1].ctypes.data, t_len, b * n,
+                            1.0 - p.current_decay, 1.0 - p.voltage_decay,
+                            p.threshold)
+        return
+    au = 1.0 - p.current_decay
+    av = 1.0 - p.voltage_decay
+    u = np.zeros((b, n))
+    v = np.zeros((b, n))
+    for t in range(t_len):
+        u = au * u + drive[t]
+        v = av * v + u
+        if soft:
+            s = _soft_spike(v, p, slope)
+        else:
+            s = (v >= p.threshold).astype(np.float64)
+        if v_rec is not None:
+            v_rec[t] = v
+        v = v * (1.0 - s)
+        drive[t] = s
+
+
 def _simulate(net: CubaNetwork, x: np.ndarray, soft: bool = False,
               slope: float = 10.0, record: bool = False,
               dropout_masks=None):
     """Run the network over a (B, F, T) block.
 
     Returns (out_spikes (T, B, C), tape).  When record is set, the tape holds
-    per layer the inputs, pre-reset potentials, spikes, and post-reset
-    potentials needed for backpropagation, all in (T, B, n) layout.
+    per layer the inputs "x", pre-reset potentials "v" and spikes "s" needed
+    for backpropagation, all in (T, B, n) layout.
     """
     b, f, t_len = x.shape
     if f != net.n_inputs:
@@ -240,41 +352,14 @@ def _simulate(net: CubaNetwork, x: np.ndarray, soft: bool = False,
     tape = []
     for li in range(net.n_layers):
         w = net.weights[li]
-        p = net.params[li]
-        au = 1.0 - p.current_decay
-        av = 1.0 - p.voltage_decay
-        n_out = w.shape[0]
-        u = np.zeros((b, n_out))
-        v = np.zeros((b, n_out))
-        spikes_seq = np.empty((t_len, b, n_out))
-        v_pre_seq = np.empty((t_len, b, n_out)) if record else None
-        v_post_seq = np.empty((t_len, b, n_out)) if record else None
-        for t in range(t_len):
-            u = au * u + current[t] @ w.T
-            v = av * v + u
-            if soft:
-                s = _soft_spike(v, p, slope)
-            else:
-                s = (v >= p.threshold).astype(np.float64)
-            if record:
-                v_pre_seq[t] = v
-            v = v * (1.0 - s)
-            if record:
-                v_post_seq[t] = v
-            spikes_seq[t] = s
-        layer_input = current
-        out = spikes_seq
-        if dropout_masks is not None and li < net.n_layers - 1:
-            out = out * dropout_masks[li]
+        drive = (current.reshape(t_len * b, w.shape[1]) @ w.T).reshape(t_len, b, w.shape[0])
+        v_rec = np.empty_like(drive) if record else None
+        _lif_forward(drive, v_rec, net.params[li], soft, slope)
         if record:
-            tape.append({
-                "x": layer_input,
-                "v": v_pre_seq,
-                "v_post": v_post_seq,
-                "s": spikes_seq,
-                "out": out,
-            })
-        current = out
+            tape.append({"x": current, "v": v_rec, "s": drive})
+        current = drive
+        if dropout_masks is not None and li < net.n_layers - 1:
+            current = drive * dropout_masks[li]
     return current, tape
 
 
@@ -287,7 +372,7 @@ def forward(net: CubaNetwork, spikes_in, record_potentials: bool = False) -> For
     rates = raster.mean(axis=1)
     potentials = None
     if record_potentials:
-        potentials = [layer["v_post"][:, 0, :].T for layer in tape]
+        potentials = [(layer["v"] * (1.0 - layer["s"]))[:, 0, :].T for layer in tape]
     return ForwardResult(spikes=raster, rates=rates, potentials=potentials)
 
 
@@ -340,7 +425,8 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
     Returns (loss, [dW per layer]).  The backward pass follows the forward
     graph exactly: spike derivative (surrogate in hard mode, exact sigmoid
     derivative in soft mode), the multiplicative reset, and both state
-    recurrences.
+    recurrences.  The reverse recurrence yields the current gradients of a
+    whole layer, from which dW and the input gradient are one matmul each.
     """
     b, _, t_len = x.shape
     out, tape = _simulate(net, x, soft=soft, slope=slope, record=True,
@@ -350,41 +436,60 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
     diff = rates - targets
     loss = float(np.mean(np.square(diff)))
     g_rates = 2.0 * diff / diff.size
-    g_out = np.broadcast_to(g_rates / t_len, (t_len,) + g_rates.shape)
 
     grads = [None] * net.n_layers
-    g_s = np.array(g_out)
+    g_s = np.broadcast_to(g_rates / t_len, (t_len,) + g_rates.shape)
     for li in range(net.n_layers - 1, -1, -1):
         layer = tape[li]
         w = net.weights[li]
-        p = net.params[li]
-        au = 1.0 - p.current_decay
-        av = 1.0 - p.voltage_decay
+        mask = None
         if dropout_masks is not None and li < net.n_layers - 1:
-            g_s = g_s * dropout_masks[li]
-        x_seq = layer["x"]
-        v_seq = layer["v"]
-        s_seq = layer["s"]
-        carry_u = np.zeros((b, w.shape[0]))
-        carry_vp = np.zeros((b, w.shape[0]))
-        g_w = np.zeros_like(w)
-        g_x = np.empty((t_len, b, w.shape[1]))
-        for t in range(t_len - 1, -1, -1):
-            v = v_seq[t]
-            s = s_seq[t]
-            if soft:
-                sd = _soft_spike_grad(s, slope)
-            else:
-                sd = _surrogate_grad(v, p, slope)
-            g_v = sd * (g_s[t] - v * carry_vp) + (1.0 - s) * carry_vp
-            g_u = g_v + au * carry_u
-            g_w += g_u.T @ x_seq[t]
-            g_x[t] = g_u @ w
-            carry_u = g_u
-            carry_vp = av * g_v
-        grads[li] = g_w
-        g_s = g_x
+            mask = dropout_masks[li]
+        g_u = np.empty_like(layer["v"])
+        _lif_backward(layer["v"], layer["s"], g_s, mask, g_u, net.params[li],
+                      slope, soft)
+        g_u = g_u.reshape(t_len * b, w.shape[0])
+        grads[li] = g_u.T @ layer["x"].reshape(t_len * b, w.shape[1])
+        if li > 0:  # the network input's gradient is never read
+            g_s = (g_u @ w).reshape(t_len, b, w.shape[1])
     return loss, grads
+
+
+def _lif_backward(v_seq, s_seq, g_s, mask, g_u, p: CubaParams, slope: float,
+                  soft: bool):
+    """Reverse LIF recurrence: writes the synaptic-current gradients of a
+    (T, B, n) block into g_u, given the spike gradients g_s (times the
+    dropout mask, if any).  Dispatched like _lif_forward; g_s may broadcast
+    one (B, n) row over time."""
+    t_len, b, n = g_u.shape
+    kernel = None if soft else _kernel()
+    if kernel is not None:
+        carry = np.zeros((2, b * n))
+        kernel.cuba_backward(_ptr(v_seq, g_u.shape), _ptr(s_seq, g_u.shape),
+                             _ptr(g_s, g_u.shape, broadcast_time=True),
+                             g_s.strides[0] // g_s.itemsize,
+                             None if mask is None else _ptr(mask, (b, n)),
+                             _ptr(g_u, g_u.shape), carry.ctypes.data,
+                             carry[1].ctypes.data, t_len, b * n,
+                             1.0 - p.current_decay, 1.0 - p.voltage_decay,
+                             p.threshold, slope)
+        return
+    au = 1.0 - p.current_decay
+    av = 1.0 - p.voltage_decay
+    carry_u = np.zeros((b, n))
+    carry_vp = np.zeros((b, n))
+    for t in range(t_len - 1, -1, -1):
+        v = v_seq[t]
+        s = s_seq[t]
+        if soft:
+            sd = _soft_spike_grad(s, slope)
+        else:
+            sd = _surrogate_grad(v, p, slope)
+        g = g_s[t] if mask is None else g_s[t] * mask
+        g_v = sd * (g - v * carry_vp) + (1.0 - s) * carry_vp
+        g_u[t] = g_v + au * carry_u
+        carry_u = g_u[t]
+        carry_vp = av * g_v
 
 
 class _Adam:
@@ -631,22 +736,16 @@ def load_checkpoint(path):
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise BadMagicError(f"{path}: expected {CHECKPOINT_MAGIC!r}, got {blob[:4]!r}")
-    offset = 4
-    (version,) = struct.unpack_from("<H", blob, offset)
-    offset += 2
+    (version,), offset = unpack_header("<H", blob, 4, path)
     if version != CHECKPOINT_VERSION:
         raise VersionMismatchError(f"{path}: version {version} unsupported")
-    (n_layers,) = struct.unpack_from("<B", blob, offset)
-    offset += 1
-    sizes = struct.unpack_from(f"<{n_layers + 1}I", blob, offset)
-    offset += 4 * (n_layers + 1)
-    (dropout_p,) = struct.unpack_from("<d", blob, offset)
-    offset += 8
+    (n_layers,), offset = unpack_header("<B", blob, offset, path)
+    sizes, offset = unpack_header(f"<{n_layers + 1}I", blob, offset, path)
+    (dropout_p,), offset = unpack_header("<d", blob, offset, path)
     params = []
     for _ in range(n_layers):
-        thr, cd, vd = struct.unpack_from("<ddd", blob, offset)
-        offset += 24
-        params.append(CubaParams(thr, cd, vd))
+        constants, offset = unpack_header("<ddd", blob, offset, path)
+        params.append(CubaParams(*constants))
     weights = []
     for i in range(n_layers):
         count = sizes[i + 1] * sizes[i]

@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from spikecodec import cli
 from spikecodec.cli import main
 from spikecodec.dataio import read_spikes
 from spikecodec.errors import DegenerateChannelWarning
@@ -113,6 +114,23 @@ class TestEvaluateCommand:
         snr = {row["scheme"]: row["snr_db"] for row in report["rows"]}
         assert snr["binary10"] > snr["binary6"]
 
+    def test_version_is_looked_up_once_per_report(self, tmp_path, monkeypatch):
+        calls = []
+
+        def version():
+            calls.append(1)
+            return "v-test"
+
+        monkeypatch.setattr(cli, "version_string", version)
+        code = run(["evaluate", *SYNTH_SMALL, "--schemes", "binary6,ttfs-linear",
+                    "--steps", "5", "--epochs", "1", "--out", tmp_path])
+        assert code == 0
+        # one for the parser's --version, one for the whole report
+        assert len(calls) == 2
+        assert json.loads((tmp_path / "report.json").read_text())["version"] == "v-test"
+        rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["v-test", "v-test"]
+
     def test_empty_dataset_is_data_error(self, tmp_path):
         # 30 rows at 20 Hz cannot fill a single 2 s window; the constant
         # columns also trip the degenerate-channel warning on the way
@@ -151,6 +169,21 @@ class TestTrainInferPerturb:
         code = run(["infer", model_dir / "checkpoint.cuba",
                     other / "w00000.spk"])
         assert code == 3
+
+    def test_spike_file_cut_in_its_header_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "t.spk"
+        path.write_bytes(b"SPK1\x01\x00\x03\x01\x00")
+        code = run(["perturb", path, "--noise-p", "0.1", "--out", tmp_path / "o"])
+        assert code == 3
+        assert "truncated" in capsys.readouterr().err
+
+    def test_checkpoint_cut_in_its_header_is_data_error(self, spikes_dir, tmp_path,
+                                                        capsys):
+        path = tmp_path / "t.cuba"
+        path.write_bytes(b"CUB1\x01\x00\x03\x07")
+        code = run(["infer", path, spikes_dir / "w00000.spk"])
+        assert code == 3
+        assert "truncated" in capsys.readouterr().err
 
     def test_perturb_zero_probability_is_byte_identical(self, spikes_dir, tmp_path):
         out = tmp_path / "p0"

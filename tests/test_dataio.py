@@ -253,6 +253,16 @@ class TestSpikeFiles:
         with pytest.raises(TruncatedPayloadError):
             read_spikes(path)
 
+    def test_every_cut_inside_the_header_is_a_truncation(self, tmp_path):
+        tensor = SpikeTensor(np.ones((2, 3, 10), dtype=np.int8), 1.0)
+        path = tmp_path / "t.spk"
+        write_spikes(tensor, {}, path)
+        header = path.read_bytes()[:4 + 2 + 1 + 3 * 4 + 8]
+        for cut in range(4, len(header) + 1):
+            path.write_bytes(header[:cut])
+            with pytest.raises(TruncatedPayloadError):
+                read_spikes(path)
+
     def test_default_vocabulary_is_twelve_classes(self):
         assert len(DEFAULT_LABELS) == 12
         assert len(set(DEFAULT_LABELS)) == 12

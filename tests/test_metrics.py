@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spikecodec import (
+    EncodingConfig,
     NoiseMode,
     NoiseSpec,
     Scheme,
@@ -13,7 +14,11 @@ from spikecodec import (
     inject_noise,
     noise_mode_for,
     snr_db,
+    synth_dataset,
 )
+from spikecodec.core import Rng
+from spikecodec.evaluation import encode_dataset, evaluate_scheme, mean_afr
+from spikecodec.metrics import clean_accuracy
 from spikecodec.errors import ConfigError, ShapeError
 
 
@@ -34,6 +39,22 @@ class TestAfr:
         rng = np.random.default_rng(3)
         data = rng.integers(-1, 2, size=(2, 3, 40)).astype(np.int8)
         assert afr(ternary_tensor(data)) == afr(ternary_tensor(-data))
+
+
+class TestMeanAfr:
+    @pytest.mark.parametrize("steps", (10, 20, 50))
+    def test_ttfs_linear_is_exactly_one_over_steps(self, steps):
+        ds = synth_dataset(3, 15, seed=3, seconds=1.0)
+        encoded = encode_dataset(ds, EncodingConfig(Scheme.TTFS_LINEAR,
+                                                    steps_per_sample=steps))
+        assert mean_afr(encoded) == 1 / steps
+        assert 100.0 * mean_afr(encoded) == 100.0 / steps
+
+    def test_pools_spikes_over_positions(self):
+        encoded = [(ternary_tensor([[[1, 0, -1, 0]]]), 0),
+                   (ternary_tensor([[[0, 0, 0, 0, 0, 1, 1, 1]]]), 1)]
+        assert mean_afr(encoded) == 5 / 12
+        assert mean_afr([]) == 0.0
 
 
 class TestSnrDb:
@@ -120,6 +141,13 @@ class TestInjectNoise:
         corr = np.corrcoef(mask_a, mask_b)[0, 1]
         assert abs(corr) < 0.01
 
+    def test_flip_binary_draws_only_the_change_mask(self):
+        rng = np.random.default_rng(9)
+        data = (rng.uniform(size=(2, 5, 40)) < 0.3).astype(np.int8)
+        out = inject_noise(ternary_tensor(data), NoiseSpec(0.2, seed=6))
+        change = Rng(6).uniform(size=data.shape) < 0.2
+        np.testing.assert_array_equal(out.data, np.where(change, 1 - data, data))
+
     def test_probability_bounds(self):
         with pytest.raises(ConfigError):
             NoiseSpec(1.5)
@@ -153,6 +181,40 @@ class TestRobustnessSweep:
         b = robustness_sweep(net, dataset, [0.01, 0.2], NoiseMode.FLIP_BINARY, seed=4)
         assert [(r.error_probability, r.accuracy) for r in a] == \
                [(r.error_probability, r.accuracy) for r in b]
+
+
+    def test_given_baseline_matches_the_computed_one(self):
+        from spikecodec import CubaNetwork, robustness_sweep
+
+        rng = np.random.default_rng(8)
+        dataset = [
+            (SpikeTensor((rng.uniform(size=(1, 7, 30)) < 0.4).astype(np.int8), 1.0),
+             int(rng.integers(0, 3)))
+            for _ in range(6)
+        ]
+        net = CubaNetwork((7, 8, 3), dropout_p=0.0, seed=2)
+        args = (net, dataset, [0.05, 0.3], NoiseMode.FLIP_BINARY)
+        assert robustness_sweep(*args, seed=5) == robustness_sweep(
+            *args, seed=5, baseline_accuracy=clean_accuracy(net, dataset))
+
+    def test_evaluation_runs_one_clean_pass_for_all_seeds(self, monkeypatch):
+        from spikecodec import TrainConfig, snn
+
+        calls = []
+        original = snn.classify_batch
+
+        def counted(net, tensors):
+            calls.append(len(tensors))
+            return original(net, tensors)
+
+        monkeypatch.setattr(snn, "classify_batch", counted)
+        ds = synth_dataset(3, 4, seed=1, seconds=1.0)
+        train_ds, test_ds = ds.split_leave_one_user_out(sorted(set(ds.users))[0])
+        evaluate_scheme("binary6", EncodingConfig(Scheme.BINARY, n_bits=6),
+                        train_ds, test_ds, TrainConfig(epochs=1, batch_size=8),
+                        hidden=(8,), noise_seeds=3)
+        # one clean pass, then 3 seeds x 3 probabilities
+        assert len(calls) == 1 + 3 * 3
 
 
 class TestNoiseModeDefaults:

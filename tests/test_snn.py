@@ -1,4 +1,9 @@
-"""CUBA neuron dynamics, the training loop, and checkpoint persistence."""
+"""CUBA neuron dynamics, the training loop, checkpoint persistence, and the
+compiled LIF recurrence."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,7 +37,8 @@ from spikecodec.errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
-from spikecodec.snn import _simulate
+from spikecodec import snn
+from spikecodec.snn import _loss_and_grads, _simulate
 
 
 def encode_windows(dataset, config, base_seed=0):
@@ -308,6 +314,16 @@ class TestCheckpoint:
         with pytest.raises(TruncatedPayloadError):
             load_checkpoint(path)
 
+    def test_every_cut_inside_the_header_is_a_truncation(self, tmp_path):
+        net = CubaNetwork((4, 8, 3), dropout_p=0.0, seed=1)
+        path = tmp_path / "model.cuba"
+        save_checkpoint(net, path)
+        header = path.read_bytes()[:4 + 2 + 1 + 3 * 4 + 8 + 2 * 24]
+        for cut in range(4, len(header) + 1):
+            path.write_bytes(header[:cut])
+            with pytest.raises(TruncatedPayloadError):
+                load_checkpoint(path)
+
     def test_inference_identical_after_reload(self, tmp_path):
         data = small_task()
         net = CubaNetwork((7, 16, 8, 3), dropout_p=0.0, seed=5)
@@ -339,3 +355,117 @@ class TestSimulateInternals:
                                          net.params[li])
             manual[t] = s
         np.testing.assert_array_equal(out, manual)
+
+
+class TestCompiledKernel:
+    """The C recurrence against the numpy reference: same rasters, same
+    pre-reset potentials, same gradients, bit for bit."""
+
+    @staticmethod
+    def run_both(net, x, labels, masks, monkeypatch):
+        def run():
+            out, tape = _simulate(net, x, record=True, dropout_masks=masks)
+            loss, grads = _loss_and_grads(net, x, labels, LossSpec(), 10.0,
+                                          soft=False, dropout_masks=masks)
+            return out, tape, loss, grads
+
+        if snn._kernel() is None:
+            pytest.skip("no C compiler to build the LIF kernel")
+        compiled = run()
+        with monkeypatch.context() as m:
+            m.setattr(snn, "_kernel", lambda: None)
+            reference = run()
+        return compiled, reference
+
+    @pytest.mark.parametrize("t_len", (20, 95, 400))
+    @pytest.mark.parametrize("batch", (1, 16, 45))
+    def test_bitwise_equal_to_numpy_reference(self, batch, t_len, monkeypatch):
+        # every input width of the matrix variants (7 channels times 1, 5
+        # or 10 trains) meets every batch size and every duration once
+        n_in = (7, 35, 70)[(batch + t_len) % 3]
+        rng = np.random.default_rng(batch * 1000 + t_len)
+        x = (rng.uniform(size=(batch, n_in, t_len)) < 0.2).astype(np.float64)
+        labels = rng.integers(0, 3, size=batch)
+        for dropout_p in (0.0, 0.1):
+            net = CubaNetwork((n_in, 256, 64, 3), dropout_p=dropout_p,
+                              seed=int(rng.integers(1000)))
+            masks = None
+            if dropout_p:
+                masks = [(rng.uniform(size=(batch, n)) < 0.9) / 0.9
+                         for n in net.layer_sizes[1:-1]]
+            compiled, reference = self.run_both(net, x, labels, masks, monkeypatch)
+            out, tape, loss, grads = compiled
+            out_r, tape_r, loss_r, grads_r = reference
+            assert out.any()
+            np.testing.assert_array_equal(out, out_r)
+            for layer, layer_r in zip(tape, tape_r):
+                np.testing.assert_array_equal(layer["s"], layer_r["s"])
+                np.testing.assert_array_equal(layer["v"], layer_r["v"])
+            assert loss == loss_r
+            for g, g_r in zip(grads, grads_r):
+                np.testing.assert_array_equal(g, g_r)
+
+    def test_buffers_are_checked_before_their_address_is_passed(self):
+        block = np.zeros((5, 2, 3))
+        assert snn._ptr(block, (5, 2, 3)) == block.ctypes.data
+        row = np.broadcast_to(np.zeros((2, 3)), (5, 2, 3))
+        assert snn._ptr(row, (5, 2, 3), broadcast_time=True) == row.ctypes.data
+        for bad, shape in ((block[:, :, :2], (5, 2, 2)), (block, (5, 3, 2)),
+                           (block.astype(np.float32), (5, 2, 3)), (row, (5, 2, 3))):
+            with pytest.raises(ShapeError):
+                snn._ptr(bad, shape)
+
+    def test_failed_build_falls_back_to_identical_results(self, tmp_path,
+                                                           monkeypatch):
+        data = small_task()
+
+        def train_and_forward():
+            net = CubaNetwork((7, 16, 8, 3), dropout_p=0.1, seed=2)
+            cfg = TrainConfig(epochs=3, learning_rate=2e-3, batch_size=4, seed=4)
+            result = train(net, data, cfg)
+            return result, forward(result.net, data[0][0], record_potentials=True)
+
+        first, first_fwd = train_and_forward()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(snn.shutil, "which", lambda name: None)
+        assert snn._load_kernel() is None
+        monkeypatch.setattr(snn, "_kernel", snn._load_kernel)
+        second, second_fwd = train_and_forward()
+        assert first.history == second.history
+        for a, b in zip(first.net.weights, second.net.weights):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(first_fwd.spikes, second_fwd.spikes)
+        for a, b in zip(first_fwd.potentials, second_fwd.potentials):
+            np.testing.assert_array_equal(a, b)
+
+    def test_compiler_error_means_no_kernel(self, tmp_path, monkeypatch):
+        broken = tmp_path / "broken.c"
+        broken.write_text("this is not C\n")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(snn, "_KERNEL_SOURCE", str(broken))
+        assert snn._load_kernel() is None
+        assert not any((tmp_path / "cache").rglob("*.so"))
+
+    def test_second_load_reuses_the_cached_library(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        if snn._load_kernel() is None:
+            pytest.skip("no C compiler to build the LIF kernel")
+        built = list((tmp_path / "spikecodec").iterdir())
+        assert len(built) == 1 and built[0].suffix == ".so"
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the compiler ran although the kernel was cached")
+
+        monkeypatch.setattr(snn.subprocess, "run", no_compiler)
+        assert snn._load_kernel() is not None
+        assert list((tmp_path / "spikecodec").iterdir()) == built
+
+    def test_import_does_not_build_the_kernel(self):
+        code = ("import spikecodec, spikecodec.cli\n"
+                "from spikecodec import snn\n"
+                "print(snn._kernel.cache_info().currsize)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(snn.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "0"
