@@ -7,9 +7,7 @@ in a second or two:
     python demos/encoding_gallery.py
 """
 
-import numpy as np
-
-from spikecodec import Rng, Scheme, afr, encode, snr_db, synth_dataset
+from spikecodec import Rng, afr, encode, snr_db, synth_dataset
 from spikecodec.evaluation import VARIANT_NAMES, reconstruct, variant_config
 
 

@@ -19,9 +19,7 @@ from .core import (
     validate_signal,
 )
 from .encoders import (
-    MappingKind,
     RateMapping,
-    TtfsCurve,
     encode,
     encode_binary,
     encode_delta,
@@ -56,13 +54,12 @@ from .snn import (
     LossSpec,
     TrainConfig,
     TrainResult,
-    classify,
     classify_batch,
     classify_detailed,
-    cuba_step,
     forward,
     gradient_check,
     load_checkpoint,
+    output_rates,
     save_checkpoint,
     spike_rate_loss,
     train,

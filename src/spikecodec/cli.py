@@ -1,9 +1,10 @@
 """Command line interface: encode, evaluate, train, infer, perturb.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 data/shape error,
-4 numeric divergence during training.  Every command that takes --seed is
-bitwise reproducible, and report files always carry the resolved
-configuration plus the package version (git describe when available).
+Exit codes: 0 success, 2 usage or configuration error, 3 data error (a bad
+signal value, shape or file), 4 numeric divergence during training.  Every
+command that takes --seed is bitwise reproducible, and report files always
+carry the resolved configuration plus the package version (git describe
+when available).
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from .dataio import (
 from .errors import (
     ConfigError,
     DivergenceError,
-    DomainError,
     EmptyDatasetError,
     SpikeCodecError,
 )
 from .evaluation import (
     DEFAULT_P_LIST,
     VARIANT_NAMES,
+    VARIANTS,
     encode_dataset,
     evaluate_scheme,
     mean_afr,
@@ -52,7 +53,7 @@ from .snn import (
     train,
 )
 
-SCHEME_CHOICES = VARIANT_NAMES + ("binary",)
+SCHEME_CHOICES = tuple(VARIANTS)
 
 
 def version_string() -> str:
@@ -140,8 +141,8 @@ def _train_args(sub):
                      help="user held out as the test split (default: first user)")
 
 
-def _config_from_args(args) -> EncodingConfig:
-    return variant_config(args.scheme, steps_per_sample=args.steps,
+def _config_from_args(args, name: str) -> EncodingConfig:
+    return variant_config(name, steps_per_sample=args.steps,
                           n_bits=args.bits, interp_factor=args.interp,
                           thresholds=_parse_thresholds(args.thresholds),
                           seed=args.seed)
@@ -176,7 +177,7 @@ def cmd_encode(args) -> int:
     dataset = _load_dataset(args)
     if len(dataset) == 0:
         raise EmptyDatasetError("no windows to encode")
-    config = _config_from_args(args)
+    config = _config_from_args(args, args.scheme)
     os.makedirs(args.out, exist_ok=True)
     encoded = encode_dataset(dataset, config)
     for i, ((tensor, label), user) in enumerate(zip(encoded, dataset.users)):
@@ -199,19 +200,11 @@ def cmd_evaluate(args) -> int:
         raise EmptyDatasetError("no windows to evaluate")
     train_ds, test_ds = _split(dataset, args.holdout_user)
     names = [n.strip() for n in args.schemes.split(",") if n.strip()]
-    for name in names:
-        if name not in SCHEME_CHOICES:
-            raise ConfigError(
-                f"unknown scheme {name!r}; expected one of: {', '.join(SCHEME_CHOICES)}"
-            )
+    configs = [_config_from_args(args, name) for name in names]
     train_cfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr,
                             batch_size=args.batch, seed=args.train_seed)
     rows = []
-    for name in names:
-        config = variant_config(name, steps_per_sample=args.steps,
-                                n_bits=args.bits, interp_factor=args.interp,
-                                thresholds=_parse_thresholds(args.thresholds),
-                                seed=args.seed)
+    for name, config in zip(names, configs):
         row = evaluate_scheme(name, config, train_ds, test_ds, train_cfg,
                               noise_seeds=args.noise_seeds,
                               noise_seed_base=args.seed)
@@ -260,7 +253,7 @@ def cmd_train(args) -> int:
     if len(dataset) == 0:
         raise EmptyDatasetError("no windows to train on")
     train_ds, test_ds = _split(dataset, args.holdout_user)
-    config = _config_from_args(args)
+    config = _config_from_args(args, args.scheme)
     encoded_train = encode_dataset(train_ds, config, derive_seed(config.seed, 1))
     encoded_test = encode_dataset(test_ds, config, derive_seed(config.seed, 2))
 
@@ -389,7 +382,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

@@ -18,7 +18,7 @@ from .core import (
     SpikeTensor,
     resolve_threshold_banks,
 )
-from .encoders import MappingKind, RateMapping, TtfsCurve
+from .encoders import RateMapping
 from .errors import (
     ConfigError,
     DomainError,
@@ -44,9 +44,9 @@ def rate_ppf(p, mapping: RateMapping):
     if (arr < 0.0).any() or (arr > 1.0).any():
         bad = arr[(arr < 0.0) | (arr > 1.0)].flat[0]
         raise DomainError(f"probability must lie in [0, 1], got {bad}")
-    if mapping.kind is MappingKind.UNIFORM:
+    if mapping.kind is Scheme.RATE_UNIFORM:
         out = arr.copy()
-    elif mapping.kind is MappingKind.NORMAL:
+    elif mapping.kind is Scheme.RATE_NORMAL:
         clamped = np.clip(arr, _PPF_CLAMP, 1.0 - _PPF_CLAMP)
         out = np.clip(mapping.mu + np.sqrt(mapping.var) * ndtri(clamped), 0.0, 1.0)
     else:
@@ -87,13 +87,16 @@ def decode_rate(tensor: SpikeTensor, mapping: RateMapping,
     return Signal(values, sample_rate_hz=rate_hz)
 
 
-def decode_ttfs(tensor: SpikeTensor, curve: TtfsCurve,
+def decode_ttfs(tensor: SpikeTensor, curve: Scheme,
                 steps_per_sample: int = 50) -> Signal:
     """Read the spike timestamp in each window back to a value.
 
-    LINEAR: v = 1 - index/N, an empty window decoding to 0.  LOG:
+    curve is the TTFS scheme.  TTFS_LINEAR: v = 1 - index/N, an empty window
+    decoding to 0.  TTFS_LOG:
     v = 0.5 + sign * 0.5 * 10^(-index/20), an empty window decoding to 0.5.
     """
+    if curve not in (Scheme.TTFS_LINEAR, Scheme.TTFS_LOG):
+        raise ConfigError(f"{curve} is not a TTFS scheme")
     data = _single_train(tensor, "ttfs")
     windows = _window_view(data, steps_per_sample)
     nonzero = windows != 0
@@ -106,7 +109,7 @@ def decode_ttfs(tensor: SpikeTensor, curve: TtfsCurve,
     has_spike = counts == 1
     idx = np.argmax(nonzero, axis=2)
     n = float(steps_per_sample)
-    if curve is TtfsCurve.LINEAR:
+    if curve is Scheme.TTFS_LINEAR:
         values = np.where(has_spike, 1.0 - idx / n, 0.0)
     else:
         sign = np.take_along_axis(windows, idx[:, :, np.newaxis], axis=2)[:, :, 0]
@@ -180,17 +183,8 @@ def decode_delta(tensor: SpikeTensor, thresholds=None, initial_value=0.0,
 
 
 def decode(tensor: SpikeTensor, config: EncodingConfig, initial_value=0.0) -> Signal:
-    """Decode under the scheme selected by config."""
-    scheme = config.scheme
-    if scheme in (Scheme.RATE_UNIFORM, Scheme.RATE_NORMAL, Scheme.RATE_BETA):
-        return decode_rate(tensor, RateMapping.from_config(config),
-                           config.steps_per_sample)
-    if scheme is Scheme.TTFS_LINEAR:
-        return decode_ttfs(tensor, TtfsCurve.LINEAR, config.steps_per_sample)
-    if scheme is Scheme.TTFS_LOG:
-        return decode_ttfs(tensor, TtfsCurve.LOG, config.steps_per_sample)
-    if scheme is Scheme.BINARY:
-        return decode_binary(tensor)
-    if scheme is Scheme.DELTA_MOD:
-        return decode_delta(tensor, config.thresholds, initial_value)
-    raise ConfigError(f"unhandled scheme {scheme!r}")
+    """Decode under the scheme selected by config.  initial_value is where
+    delta modulation starts integrating; the other schemes ignore it."""
+    from .evaluation import codec
+
+    return codec(config.scheme).decode(tensor, config, initial_value)

@@ -8,7 +8,6 @@ given seed always reproduces the same tensor.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,46 +25,29 @@ from .core import (
 from .errors import ConfigError, DomainError
 
 
-class MappingKind(enum.Enum):
-    """Value-to-firing-rate mapping families for rate encoding."""
-
-    UNIFORM = "uniform"
-    NORMAL = "normal"
-    COMBINED_BETA = "combined-beta"
-
-
 @dataclass(frozen=True)
 class RateMapping:
     """A monotone map from normalized signal values to firing probabilities.
 
-    UNIFORM is the identity.  NORMAL uses the Gaussian CDF centred at mu with
-    variance var.  COMBINED_BETA glues two one-shape-parameter beta CDFs, one
-    per half of [0, 1], each rescaled to its half so the combined curve is a
-    single monotone CDF with a steep slope around 0.5.
+    kind is the rate scheme.  RATE_UNIFORM is the identity.  RATE_NORMAL uses
+    the Gaussian CDF centred at mu with variance var.  RATE_BETA glues two
+    one-shape-parameter beta CDFs, one per half of [0, 1], each rescaled to
+    its half so the combined curve is a single monotone CDF with a steep
+    slope around 0.5.
     """
 
-    kind: MappingKind
+    kind: Scheme
     mu: float = 0.5
     var: float = 0.2
     beta_shape: float = 0.75
 
     def __post_init__(self):
+        if self.kind not in (Scheme.RATE_UNIFORM, Scheme.RATE_NORMAL, Scheme.RATE_BETA):
+            raise ConfigError(f"{self.kind} is not a rate scheme")
         if self.var <= 0:
             raise ConfigError(f"var must be positive, got {self.var}")
         if not 0 < self.beta_shape <= 1:
             raise ConfigError(f"beta_shape must be in (0, 1], got {self.beta_shape}")
-
-    @classmethod
-    def from_config(cls, config: EncodingConfig) -> "RateMapping":
-        kind = {
-            Scheme.RATE_UNIFORM: MappingKind.UNIFORM,
-            Scheme.RATE_NORMAL: MappingKind.NORMAL,
-            Scheme.RATE_BETA: MappingKind.COMBINED_BETA,
-        }.get(config.scheme)
-        if kind is None:
-            raise ConfigError(f"{config.scheme.value} is not a rate scheme")
-        return cls(kind, mu=config.normal_mu, var=config.normal_var,
-                   beta_shape=config.beta_shape)
 
 
 def _check_unit_interval(values: np.ndarray, what: str):
@@ -83,9 +65,9 @@ def map_value_to_rate(v, mapping: RateMapping):
     """
     arr = np.asarray(v, dtype=np.float64)
     _check_unit_interval(arr, "signal value")
-    if mapping.kind is MappingKind.UNIFORM:
+    if mapping.kind is Scheme.RATE_UNIFORM:
         out = arr.copy()
-    elif mapping.kind is MappingKind.NORMAL:
+    elif mapping.kind is Scheme.RATE_NORMAL:
         out = ndtr((arr - mapping.mu) / np.sqrt(mapping.var))
     else:
         b = mapping.beta_shape
@@ -115,22 +97,17 @@ def encode_rate(signal: Signal, mapping: RateMapping, steps_per_sample: int = 50
     return SpikeTensor(spikes, time_step_ms=step_ms, window_steps=n)
 
 
-class TtfsCurve(enum.Enum):
-    """Value-to-latency curve for time-to-first-spike encoding."""
-
-    LINEAR = "linear"
-    LOG = "log"
-
-
-def encode_ttfs(signal: Signal, curve: TtfsCurve, steps_per_sample: int = 50) -> SpikeTensor:
+def encode_ttfs(signal: Signal, curve: Scheme, steps_per_sample: int = 50) -> SpikeTensor:
     """Time-to-first-spike encoding: one spike per sample window at most.
 
-    LINEAR places a +1 spike at floor((1 - v) * N), so larger values fire
-    earlier.  LOG encodes the signed distance from 0.5 on a logarithmic
-    latency scale, using negative spikes for values below 0.5 and no spike at
-    exactly 0.5.
+    curve is the TTFS scheme.  TTFS_LINEAR places a +1 spike at
+    floor((1 - v) * N), so larger values fire earlier.  TTFS_LOG encodes the
+    signed distance from 0.5 on a logarithmic latency scale, using negative
+    spikes for values below 0.5 and no spike at exactly 0.5.
     """
     validate_signal(signal)
+    if curve not in (Scheme.TTFS_LINEAR, Scheme.TTFS_LOG):
+        raise ConfigError(f"{curve} is not a TTFS scheme")
     n = int(steps_per_sample)
     if n < 2:
         raise ConfigError(f"steps_per_sample must be >= 2 for TTFS, got {n}")
@@ -140,7 +117,7 @@ def encode_ttfs(signal: Signal, curve: TtfsCurve, steps_per_sample: int = 50) ->
     ch_idx = np.arange(channels)[:, np.newaxis]
     base = np.arange(samples)[np.newaxis, :] * n
 
-    if curve is TtfsCurve.LINEAR:
+    if curve is Scheme.TTFS_LINEAR:
         idx = np.minimum(np.floor((1.0 - data) * n).astype(np.int64), n - 1)
         out[0, ch_idx, base + idx] = 1
     else:
@@ -205,18 +182,9 @@ def encode_delta(signal: Signal, thresholds=None, interp_factor: int = 5) -> Spi
 
 
 def encode(signal: Signal, config: EncodingConfig, rng: Rng = None) -> SpikeTensor:
-    """Encode under the scheme selected by config."""
-    scheme = config.scheme
-    if scheme in (Scheme.RATE_UNIFORM, Scheme.RATE_NORMAL, Scheme.RATE_BETA):
-        mapping = RateMapping.from_config(config)
-        return encode_rate(signal, mapping, config.steps_per_sample,
-                           rng if rng is not None else Rng(config.seed))
-    if scheme is Scheme.TTFS_LINEAR:
-        return encode_ttfs(signal, TtfsCurve.LINEAR, config.steps_per_sample)
-    if scheme is Scheme.TTFS_LOG:
-        return encode_ttfs(signal, TtfsCurve.LOG, config.steps_per_sample)
-    if scheme is Scheme.BINARY:
-        return encode_binary(signal, config.n_bits)
-    if scheme is Scheme.DELTA_MOD:
-        return encode_delta(signal, config.thresholds, config.interp_factor)
-    raise ConfigError(f"unhandled scheme {scheme!r}")
+    """Encode under the scheme selected by config; rng defaults to a stream
+    seeded with config.seed."""
+    from .evaluation import codec
+
+    return codec(config.scheme).encode(signal, config,
+                                       rng if rng is not None else Rng(config.seed))

@@ -1,48 +1,112 @@
-"""Scheme-by-scheme evaluation pipeline: firing rate, reconstruction SNR,
-classification accuracy, and robustness drops, one report row per encoding
-variant."""
+"""The variant table and the scheme-by-scheme evaluation pipeline.
+
+VARIANTS is the one place that knows each encoding variant: its scheme,
+encoder, decoder, noise mode and the configuration it takes.
+encoders.encode, decoders.decode and metrics.noise_mode_for look their
+scheme up here.  The pipeline reports firing rate, reconstruction SNR,
+classification accuracy and robustness drops, one row per variant."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Callable
 
 import numpy as np
 
 from .core import EncodingConfig, Rng, Scheme, derive_seed
 from .dataio import WindowedDataset, downsample
-from .decoders import decode
-from .encoders import encode
-from .errors import EmptyDatasetError
+from .decoders import decode, decode_binary, decode_delta, decode_rate, decode_ttfs
+from .encoders import (
+    RateMapping,
+    encode,
+    encode_binary,
+    encode_delta,
+    encode_rate,
+    encode_ttfs,
+)
+from .errors import ConfigError, EmptyDatasetError
 # afr is no longer called here but stays bound: bench/run.py times it at
 # this binding too
 from .metrics import afr  # noqa: F401
-from .metrics import clean_accuracy, noise_mode_for, robustness_sweep, snr_db
+from .metrics import NoiseMode, clean_accuracy, robustness_sweep, snr_db
 from .snn import CubaNetwork, TrainConfig, train
 
 DEFAULT_P_LIST = (0.001, 0.01, 0.1)
 
-# The eight variants evaluated side by side. "binary" appears twice with its
-# two bit depths; "delta-mod" keeps the default five-threshold banks.
-VARIANT_NAMES = (
-    "rate-uniform", "rate-normal", "rate-beta",
-    "ttfs-linear", "ttfs-log",
-    "binary6", "binary10",
-    "delta-mod",
-)
+
+@dataclass(frozen=True)
+class Variant:
+    """One encoding variant.
+
+    encode(signal, config, rng) and decode(tensor, config, initial_value)
+    are its codec; decode lands on the tensor's own time grid (reconstruct
+    maps it onto the original samples).  noise_mode is its default
+    spike-error model.  params names the caller parameters its
+    EncodingConfig takes; n_bits, when set, fixes the bit depth.
+    """
+
+    scheme: Scheme
+    encode: Callable
+    decode: Callable
+    noise_mode: NoiseMode
+    params: tuple = ("steps_per_sample", "n_bits", "interp_factor", "thresholds", "seed")
+    n_bits: int = None
+
+
+def _mapping(c: EncodingConfig) -> RateMapping:
+    return RateMapping(c.scheme, mu=c.normal_mu, var=c.normal_var, beta_shape=c.beta_shape)
+
+
+# One (encode, decode) pair per family, each reading what it needs from the
+# config; v0 is the initial value that delta modulation integrates from.
+_RATE = (lambda s, c, rng: encode_rate(s, _mapping(c), c.steps_per_sample, rng),
+         lambda t, c, v0: decode_rate(t, _mapping(c), c.steps_per_sample))
+_TTFS = (lambda s, c, rng: encode_ttfs(s, c.scheme, c.steps_per_sample),
+         lambda t, c, v0: decode_ttfs(t, c.scheme, c.steps_per_sample))
+_BINARY = (lambda s, c, rng: encode_binary(s, c.n_bits),
+           lambda t, c, v0: decode_binary(t))
+_DELTA = (lambda s, c, rng: encode_delta(s, c.thresholds, c.interp_factor),
+          lambda t, c, v0: decode_delta(t, c.thresholds, v0))
+_FLIP, _SIGNED = NoiseMode.FLIP_BINARY, NoiseMode.SIGNED_PERTURB
+_BITS = ("n_bits", "seed")
+
+VARIANTS = MappingProxyType({
+    "rate-uniform": Variant(Scheme.RATE_UNIFORM, *_RATE, _FLIP),
+    "rate-normal": Variant(Scheme.RATE_NORMAL, *_RATE, _FLIP),
+    "rate-beta": Variant(Scheme.RATE_BETA, *_RATE, _FLIP),
+    "ttfs-linear": Variant(Scheme.TTFS_LINEAR, *_TTFS, _FLIP),
+    "ttfs-log": Variant(Scheme.TTFS_LOG, *_TTFS, _SIGNED),
+    "binary6": Variant(Scheme.BINARY, *_BINARY, _FLIP, _BITS, n_bits=6),
+    "binary10": Variant(Scheme.BINARY, *_BINARY, _FLIP, _BITS, n_bits=10),
+    "delta-mod": Variant(Scheme.DELTA_MOD, *_DELTA, _SIGNED),
+    "binary": Variant(Scheme.BINARY, *_BINARY, _FLIP, _BITS),
+})
+
+# The eight variants evaluated side by side: every entry but the last, plain
+# "binary", which repeats binary6 or binary10 at the caller's bit depth.
+VARIANT_NAMES = tuple(VARIANTS)[:-1]
+
+# The binary entries share their codec, so any of them serves the scheme.
+_BY_SCHEME = {v.scheme: v for v in VARIANTS.values()}
+
+
+def codec(scheme: Scheme) -> Variant:
+    """The table entry that encodes, decodes and perturbs a scheme."""
+    return _BY_SCHEME[scheme]
 
 
 def variant_config(name: str, steps_per_sample: int = 50, n_bits: int = 6,
                    interp_factor: int = 5, thresholds=None, seed: int = 0) -> EncodingConfig:
-    """Resolve a variant name (e.g. "binary10") to an EncodingConfig."""
-    if name in ("binary6", "binary10"):
-        return EncodingConfig(Scheme.BINARY, n_bits=int(name[len("binary"):]),
-                              seed=seed)
-    if name == "binary":
-        return EncodingConfig(Scheme.BINARY, n_bits=n_bits, seed=seed)
-    scheme = Scheme.from_string(name)
-    return EncodingConfig(scheme, steps_per_sample=steps_per_sample,
-                          n_bits=n_bits, interp_factor=interp_factor,
-                          thresholds=thresholds, seed=seed)
+    """Resolve a variant name (e.g. "binary10") to an EncodingConfig; a
+    variant takes only the parameters its table entry names."""
+    if name not in VARIANTS:
+        raise ConfigError(
+            f"unknown scheme {name!r}; expected one of: {', '.join(VARIANTS)}")
+    v = VARIANTS[name]
+    given = {"steps_per_sample": steps_per_sample, "n_bits": v.n_bits or n_bits,
+             "interp_factor": interp_factor, "thresholds": thresholds, "seed": seed}
+    return EncodingConfig(v.scheme, **{k: given[k] for k in v.params})
 
 
 def encode_dataset(dataset: WindowedDataset, config: EncodingConfig,
@@ -60,22 +124,24 @@ def encode_dataset(dataset: WindowedDataset, config: EncodingConfig,
 def reconstruct(tensor, config: EncodingConfig, original):
     """Decode a tensor back to a signal aligned with the original samples.
 
-    Delta modulation integrates from the original's first value (per
-    channel) and is decimated back to the original rate; all other schemes
-    decode directly to the original sampling grid.
+    Decoding starts from the original's first value per channel (delta
+    modulation integrates from it; the other schemes ignore it).  A decoded
+    signal at a multiple of the original rate, as delta modulation's
+    up-sampled one is, is decimated back to the original grid.
     """
-    if config.scheme is Scheme.DELTA_MOD:
-        recon = decode(tensor, config, initial_value=original.data[:, 0])
-        return downsample(recon, config.interp_factor)
-    return decode(tensor, config)
+    recon = decode(tensor, config, initial_value=original.data[:, 0])
+    factor = round(recon.sample_rate_hz / original.sample_rate_hz)
+    return downsample(recon, factor) if factor > 1 else recon
 
 
 def reconstruction_snr_db(dataset: WindowedDataset, config: EncodingConfig,
-                          base_seed: int = None) -> float:
-    """Mean reconstruction SNR over all windows of a dataset."""
+                          base_seed: int = None, encoded=None) -> float:
+    """Mean reconstruction SNR over all windows of a dataset.  encoded, if
+    given, is the dataset already encoded under config."""
     if len(dataset) == 0:
         raise EmptyDatasetError("cannot evaluate SNR on an empty dataset")
-    encoded = encode_dataset(dataset, config, base_seed)
+    if encoded is None:
+        encoded = encode_dataset(dataset, config, base_seed)
     values = [
         snr_db(sig, reconstruct(tensor, config, sig))
         for (sig, _), (tensor, _) in zip(dataset, encoded)
@@ -139,10 +205,7 @@ def evaluate_scheme(name: str, config: EncodingConfig,
     encoded_train = encode_dataset(train_ds, config, derive_seed(config.seed, 1))
     encoded_test = encode_dataset(test_ds, config, derive_seed(config.seed, 2))
 
-    snr_values = [
-        snr_db(sig, reconstruct(tensor, config, sig))
-        for (sig, _), (tensor, _) in zip(test_ds, encoded_test)
-    ]
+    snr = reconstruction_snr_db(test_ds, config, encoded=encoded_test)
 
     sample = encoded_train[0][0]
     n_features = sample.n_trains * sample.n_channels
@@ -150,7 +213,7 @@ def evaluate_scheme(name: str, config: EncodingConfig,
     net = CubaNetwork(sizes, dropout_p=dropout_p, seed=net_seed)
     result = train(net, encoded_train, train_cfg, test_set=encoded_test)
 
-    mode = noise_mode_for(config.scheme)
+    mode = codec(config.scheme).noise_mode
     acc0 = clean_accuracy(result.net, encoded_test)
     drop_sums = np.zeros(len(p_list))
     for s in range(noise_seeds):
@@ -165,7 +228,7 @@ def evaluate_scheme(name: str, config: EncodingConfig,
         tensor_shape=sample.shape,
         time_step_ms=sample.time_step_ms,
         afr_pct=100.0 * mean_afr(encoded_test),
-        snr_db=float(np.mean(snr_values)),
+        snr_db=snr,
         accuracy=result.best_test_accuracy,
         drops=drops,
     )

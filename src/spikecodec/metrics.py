@@ -70,11 +70,12 @@ class NoiseSpec:
 
 
 def noise_mode_for(scheme: Scheme) -> NoiseMode:
-    """Default noise mode per scheme: sign-aware perturbation for the ternary
-    schemes (log TTFS and delta modulation), plain flips everywhere else."""
-    if scheme in (Scheme.TTFS_LOG, Scheme.DELTA_MOD):
-        return NoiseMode.SIGNED_PERTURB
-    return NoiseMode.FLIP_BINARY
+    """Default noise mode of a scheme, from the variant table: sign-aware
+    perturbation for the ternary schemes (log TTFS and delta modulation),
+    plain flips everywhere else."""
+    from .evaluation import codec
+
+    return codec(scheme).noise_mode
 
 
 def inject_noise(tensor: SpikeTensor, spec: NoiseSpec) -> SpikeTensor:

@@ -229,33 +229,6 @@ class CubaNetwork:
         self.weights = [np.array(w, dtype=np.float64) for w in weights]
 
 
-def cuba_step(state, input_spikes, weights: np.ndarray, params: CubaParams):
-    """One discrete-time update of a dense CUBA layer.
-
-    state is (current, potential) matching the layer width, or None for a
-    fresh layer.  Accepts a single input vector or a (batch, n_in) block.
-    Returns (spikes, (current, potential)) with the potential already reset
-    at neurons that fired.
-    """
-    x = np.asarray(input_spikes, dtype=np.float64)
-    if x.shape[-1] != weights.shape[1]:
-        raise ShapeError(f"input width {x.shape[-1]} != fan-in {weights.shape[1]}")
-    if state is None:
-        u_prev = np.zeros(x.shape[:-1] + (weights.shape[0],))
-        v_prev = np.zeros_like(u_prev)
-    else:
-        u_prev, v_prev = state
-        if np.shape(u_prev)[-1] != weights.shape[0]:
-            raise ShapeError(
-                f"state width {np.shape(u_prev)[-1]} != layer width {weights.shape[0]}"
-            )
-    u = (1.0 - params.current_decay) * u_prev + x @ weights.T
-    v = (1.0 - params.voltage_decay) * v_prev + u
-    spikes = (v >= params.threshold).astype(np.float64)
-    v = v * (1.0 - spikes)
-    return spikes, (u, v)
-
-
 def _surrogate_grad(v: np.ndarray, params: CubaParams, slope: float) -> np.ndarray:
     """Fast-sigmoid surrogate for the threshold derivative."""
     return 1.0 / np.square(1.0 + slope * np.abs(v - params.threshold))
@@ -364,8 +337,9 @@ def _simulate(net: CubaNetwork, x: np.ndarray, soft: bool = False,
 
 
 def forward(net: CubaNetwork, spikes_in, record_potentials: bool = False) -> ForwardResult:
-    """Run one sample through the network; rates are mean output spikes over
-    the duration."""
+    """Output raster of one sample, and with record_potentials the
+    post-reset potentials of every layer; classification goes through
+    output_rates instead."""
     x = _as_features(spikes_in)[np.newaxis]  # (1, F, T)
     out, tape = _simulate(net, x, record=record_potentials)
     raster = out[:, 0, :].T  # (classes, T)
@@ -376,28 +350,28 @@ def forward(net: CubaNetwork, spikes_in, record_potentials: bool = False) -> For
     return ForwardResult(spikes=raster, rates=rates, potentials=potentials)
 
 
-def rates_batch(net: CubaNetwork, tensors) -> np.ndarray:
-    """Per-class output rates for a batch of inputs; (B, classes)."""
-    x = _stack_batch(tensors)
-    out, _ = _simulate(net, x)
-    return out.mean(axis=0)
-
-
-def classify(net: CubaNetwork, spikes_in) -> int:
-    """Class with the highest output rate; ties break toward the lowest
-    index."""
-    rates = forward(net, spikes_in).rates
-    return int(np.argmax(rates))
+def output_rates(net: CubaNetwork, x: np.ndarray, soft: bool = False,
+                 slope: float = 10.0, batch_size: int = None) -> np.ndarray:
+    """Per-class output rates (B, classes) of a stacked (B, F, T) block: the
+    mean output spike count over time.  With batch_size, the block is
+    simulated that many samples at a time."""
+    step = batch_size or x.shape[0]
+    return np.concatenate([
+        _simulate(net, x[start:start + step], soft=soft, slope=slope)[0].mean(axis=0)
+        for start in range(0, x.shape[0], step)
+    ])
 
 
 def classify_detailed(net: CubaNetwork, spikes_in) -> Classification:
-    rates = forward(net, spikes_in).rates
+    """Class with the highest output rate for one sample; ties break toward
+    the lowest index."""
+    rates = output_rates(net, _as_features(spikes_in)[np.newaxis])[0]
     return Classification(label=int(np.argmax(rates)), rates=rates,
                           no_spikes=bool(rates.sum() == 0.0))
 
 
 def classify_batch(net: CubaNetwork, tensors) -> np.ndarray:
-    return np.argmax(rates_batch(net, tensors), axis=1)
+    return np.argmax(output_rates(net, _stack_batch(tensors)), axis=1)
 
 
 def spike_rate_loss(rates, label: int, spec: LossSpec = LossSpec()) -> float:
@@ -530,13 +504,8 @@ class TrainResult:
 
 def _accuracy(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
               batch_size: int) -> float:
-    correct = 0
-    for start in range(0, x.shape[0], batch_size):
-        block = x[start:start + batch_size]
-        out, _ = _simulate(net, block)
-        pred = np.argmax(out.mean(axis=0), axis=1)
-        correct += int((pred == labels[start:start + batch_size]).sum())
-    return correct / x.shape[0]
+    pred = np.argmax(output_rates(net, x, batch_size=batch_size), axis=1)
+    return float(np.mean(pred == labels))
 
 
 def train(net: CubaNetwork, dataset, cfg: TrainConfig,
@@ -630,8 +599,7 @@ def gradient_check(net: CubaNetwork, sample, cfg: TrainConfig,
     labels = np.asarray([label], dtype=np.int64)
 
     def loss_only():
-        out, _ = _simulate(net, x, soft=True, slope=cfg.surrogate_slope)
-        rates = out.mean(axis=0)
+        rates = output_rates(net, x, soft=True, slope=cfg.surrogate_slope)
         return float(np.mean(np.square(rates - _targets(labels, net.n_classes,
                                                         loss_spec))))
 
@@ -740,6 +708,8 @@ def load_checkpoint(path):
     if version != CHECKPOINT_VERSION:
         raise VersionMismatchError(f"{path}: version {version} unsupported")
     (n_layers,), offset = unpack_header("<B", blob, offset, path)
+    if n_layers == 0:
+        raise ShapeError(f"{path}: checkpoint has no layers")
     sizes, offset = unpack_header(f"<{n_layers + 1}I", blob, offset, path)
     (dropout_p,), offset = unpack_header("<d", blob, offset, path)
     params = []

@@ -14,7 +14,6 @@ import oracles
 from spikecodec import (
     CubaNetwork,
     EncodingConfig,
-    MappingKind,
     NoiseMode,
     NoiseSpec,
     RateMapping,
@@ -23,7 +22,6 @@ from spikecodec import (
     Signal,
     SpikeTensor,
     TrainConfig,
-    TtfsCurve,
     afr,
     encode,
     encode_binary,
@@ -57,7 +55,7 @@ class TestCriterion1AfrExactness:
         rng = np.random.default_rng(0)
         for channels, samples in ((7, 40), (1, 1), (3, 111)):
             sig = Signal(rng.uniform(0, 1, size=(channels, samples)), 20.0)
-            tensor = encode_ttfs(sig, TtfsCurve.LINEAR, 50)
+            tensor = encode_ttfs(sig, Scheme.TTFS_LINEAR, 50)
             assert afr(tensor) == 0.02
         elapsed = time.monotonic() - start
         assert elapsed < 1.0
@@ -67,7 +65,7 @@ class TestCriterion1AfrExactness:
 class TestCriterion2RateStatistics:
     def test_binomial_four_sigma_bound_over_twenty_seeds(self):
         start = time.monotonic()
-        uniform = RateMapping(MappingKind.UNIFORM)
+        uniform = RateMapping(Scheme.RATE_UNIFORM)
         sig = Signal([[0.5]], 20.0)
         passes = 0
         counts = []
@@ -87,8 +85,8 @@ class TestCriterion2RateStatistics:
 class TestCriterion3MappingOracles:
     def test_cdf_and_ppf_match_independent_oracles_on_grid(self):
         grid = np.linspace(0.0, 1.0, 1001)
-        normal = RateMapping(MappingKind.NORMAL)
-        beta = RateMapping(MappingKind.COMBINED_BETA)
+        normal = RateMapping(Scheme.RATE_NORMAL)
+        beta = RateMapping(Scheme.RATE_BETA)
 
         # oracle values first (untimed: the budget gates the library)
         oracle_cdf_n = np.array([oracles.normal_cdf(float(v)) for v in grid])
@@ -125,8 +123,8 @@ class TestCriterion4DeterministicRoundTrips:
 
         grid_pos = np.linspace(1e-9, 1.0, 10_000)
         sig_pos = Signal(grid_pos[None, :], 20.0)
-        decoded = decode_ttfs(encode_ttfs(sig_pos, TtfsCurve.LINEAR, 50),
-                              TtfsCurve.LINEAR, 50).data[0]
+        decoded = decode_ttfs(encode_ttfs(sig_pos, Scheme.TTFS_LINEAR, 50),
+                              Scheme.TTFS_LINEAR, 50).data[0]
         ttfs_err = np.abs(decoded - grid_pos).max()
         assert ttfs_err <= 1.0 / 50.0
         elapsed = time.monotonic() - start

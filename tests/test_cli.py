@@ -1,6 +1,7 @@
 """Command-line surface: reproducibility, exit codes, and report formats."""
 
 import json
+import struct
 from importlib import resources
 
 import jsonschema
@@ -51,6 +52,20 @@ class TestEncodeCommand:
         assert metadata["encoding"]["scheme"] == "binary"
         assert metadata["encoding"]["n_bits"] == 6
         assert metadata["label_name"] == "class0"
+
+    def test_non_finite_csv_value_is_data_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "nan.csv"
+        header = "acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,hbc,label,user"
+        # 60 rows at 20 Hz fill one 2 s window; acc_y is nan throughout
+        rows = [[f"{i * (ch + 2) % 11 / 11:.3f}" for ch in range(7)] + ["Squat", "alice"]
+                for i in range(60)]
+        for row in rows:
+            row[1] = "nan"
+        csv_path.write_text(header + "\n" + "\n".join(",".join(r) for r in rows) + "\n")
+        code = run(["encode", csv_path, "--scheme", "ttfs-linear",
+                    "--out", tmp_path / "enc"])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +199,14 @@ class TestTrainInferPerturb:
         code = run(["infer", path, spikes_dir / "w00000.spk"])
         assert code == 3
         assert "truncated" in capsys.readouterr().err
+
+    def test_checkpoint_with_no_layers_is_data_error(self, spikes_dir, tmp_path,
+                                                     capsys):
+        path = tmp_path / "t.cuba"
+        path.write_bytes(b"CUB1" + struct.pack("<HBId", 1, 0, 7, 0.1))
+        code = run(["infer", path, spikes_dir / "w00000.spk"])
+        assert code == 3
+        assert "no layers" in capsys.readouterr().err
 
     def test_perturb_zero_probability_is_byte_identical(self, spikes_dir, tmp_path):
         out = tmp_path / "p0"

@@ -6,11 +6,10 @@ import pytest
 
 import oracles
 from spikecodec import (
-    MappingKind,
     RateMapping,
+    Scheme,
     Signal,
     SpikeTensor,
-    TtfsCurve,
     decode_binary,
     decode_delta,
     decode_rate,
@@ -28,9 +27,9 @@ from spikecodec.errors import (
     ShapeError,
 )
 
-UNIFORM = RateMapping(MappingKind.UNIFORM)
-NORMAL = RateMapping(MappingKind.NORMAL)
-BETA = RateMapping(MappingKind.COMBINED_BETA)
+UNIFORM = RateMapping(Scheme.RATE_UNIFORM)
+NORMAL = RateMapping(Scheme.RATE_NORMAL)
+BETA = RateMapping(Scheme.RATE_BETA)
 
 
 def rate_tensor(window_spikes, steps=50):
@@ -114,40 +113,40 @@ class TestDecodeTtfs:
     def test_linear_inverse_of_midpoint(self):
         data = np.zeros((1, 1, 50), dtype=np.int8)
         data[0, 0, 25] = 1
-        sig = decode_ttfs(SpikeTensor(data, 1.0, 50), TtfsCurve.LINEAR, 50)
+        sig = decode_ttfs(SpikeTensor(data, 1.0, 50), Scheme.TTFS_LINEAR, 50)
         assert sig.data[0, 0] == 0.5
 
     def test_log_index_zero_is_one(self):
         data = np.zeros((1, 1, 50), dtype=np.int8)
         data[0, 0, 0] = 1
-        sig = decode_ttfs(SpikeTensor(data, 1.0, 50), TtfsCurve.LOG, 50)
+        sig = decode_ttfs(SpikeTensor(data, 1.0, 50), Scheme.TTFS_LOG, 50)
         assert sig.data[0, 0] == 1.0
 
     def test_log_negative_spike_at_six(self):
         # 0.5 - 0.5 * 10^(-0.3) = 0.2494064
         data = np.zeros((1, 1, 50), dtype=np.int8)
         data[0, 0, 6] = -1
-        sig = decode_ttfs(SpikeTensor(data, 1.0, 50), TtfsCurve.LOG, 50)
+        sig = decode_ttfs(SpikeTensor(data, 1.0, 50), Scheme.TTFS_LOG, 50)
         assert sig.data[0, 0] == pytest.approx(0.2494064, abs=1e-6)
 
     def test_empty_window_conventions(self):
         data = np.zeros((1, 1, 50), dtype=np.int8)
         tensor = SpikeTensor(data, 1.0, 50)
-        assert decode_ttfs(tensor, TtfsCurve.LINEAR, 50).data[0, 0] == 0.0
-        assert decode_ttfs(tensor, TtfsCurve.LOG, 50).data[0, 0] == 0.5
+        assert decode_ttfs(tensor, Scheme.TTFS_LINEAR, 50).data[0, 0] == 0.0
+        assert decode_ttfs(tensor, Scheme.TTFS_LOG, 50).data[0, 0] == 0.5
 
     def test_multiple_spikes_rejected(self):
         data = np.zeros((1, 1, 50), dtype=np.int8)
         data[0, 0, 3] = 1
         data[0, 0, 7] = 1
         with pytest.raises(MultipleSpikesInWindowError):
-            decode_ttfs(SpikeTensor(data, 1.0, 50), TtfsCurve.LINEAR, 50)
+            decode_ttfs(SpikeTensor(data, 1.0, 50), Scheme.TTFS_LINEAR, 50)
 
     def test_linear_round_trip_bound(self):
         grid = np.linspace(1e-6, 1.0, 10_000)
         sig = Signal(grid[None, :], 20.0)
-        decoded = decode_ttfs(encode_ttfs(sig, TtfsCurve.LINEAR, 50),
-                              TtfsCurve.LINEAR, 50)
+        decoded = decode_ttfs(encode_ttfs(sig, Scheme.TTFS_LINEAR, 50),
+                              Scheme.TTFS_LINEAR, 50)
         assert np.abs(decoded.data[0] - grid).max() <= 1.0 / 50.0
 
     def test_log_round_trip_resolution(self):
@@ -155,8 +154,8 @@ class TestDecodeTtfs:
         # 1/20-decade grid; spot-check mid-range values
         grid = np.linspace(0.05, 0.45, 500)
         sig = Signal(grid[None, :], 20.0)
-        decoded = decode_ttfs(encode_ttfs(sig, TtfsCurve.LOG, 50),
-                              TtfsCurve.LOG, 50)
+        decoded = decode_ttfs(encode_ttfs(sig, Scheme.TTFS_LOG, 50),
+                              Scheme.TTFS_LOG, 50)
         assert np.abs(decoded.data[0] - grid).max() <= 0.06
 
 

@@ -6,12 +6,10 @@ import pytest
 
 import oracles
 from spikecodec import (
-    MappingKind,
     RateMapping,
     Rng,
     Scheme,
     Signal,
-    TtfsCurve,
     afr,
     encode,
     encode_binary,
@@ -24,9 +22,9 @@ from spikecodec.core import EncodingConfig, IMU_THRESHOLDS
 from spikecodec.decoders import decode_binary
 from spikecodec.errors import ConfigError, DomainError, ThresholdOrderError
 
-UNIFORM = RateMapping(MappingKind.UNIFORM)
-NORMAL = RateMapping(MappingKind.NORMAL)
-BETA = RateMapping(MappingKind.COMBINED_BETA)
+UNIFORM = RateMapping(Scheme.RATE_UNIFORM)
+NORMAL = RateMapping(Scheme.RATE_NORMAL)
+BETA = RateMapping(Scheme.RATE_BETA)
 
 
 def single_value_signal(v, rate=20.0):
@@ -125,49 +123,49 @@ class TestEncodeRate:
 class TestEncodeTtfs:
     def test_linear_midpoint_fires_at_25ms(self):
         # value 0.5 with 50 one-millisecond steps fires at index 25
-        t = encode_ttfs(single_value_signal(0.5), TtfsCurve.LINEAR, 50)
+        t = encode_ttfs(single_value_signal(0.5), Scheme.TTFS_LINEAR, 50)
         assert int(np.flatnonzero(t.data[0, 0])[0]) == 25
 
     def test_linear_one_fires_immediately(self):
-        t = encode_ttfs(single_value_signal(1.0), TtfsCurve.LINEAR, 50)
+        t = encode_ttfs(single_value_signal(1.0), Scheme.TTFS_LINEAR, 50)
         assert int(np.flatnonzero(t.data[0, 0])[0]) == 0
 
     def test_linear_zero_clamps_to_last_index(self):
-        t = encode_ttfs(single_value_signal(0.0), TtfsCurve.LINEAR, 50)
+        t = encode_ttfs(single_value_signal(0.0), Scheme.TTFS_LINEAR, 50)
         assert int(np.flatnonzero(t.data[0, 0])[0]) == 49
 
     def test_log_quarter_values(self):
         # |2v - 1| = 0.5 lands at floor(-20 log10 0.5) = floor(6.02) = 6
-        up = encode_ttfs(single_value_signal(0.75), TtfsCurve.LOG, 50)
-        down = encode_ttfs(single_value_signal(0.25), TtfsCurve.LOG, 50)
+        up = encode_ttfs(single_value_signal(0.75), Scheme.TTFS_LOG, 50)
+        down = encode_ttfs(single_value_signal(0.25), Scheme.TTFS_LOG, 50)
         assert up.data[0, 0, 6] == 1
         assert down.data[0, 0, 6] == -1
         assert np.abs(up.data).sum() == 1
         assert np.abs(down.data).sum() == 1
 
     def test_log_midpoint_emits_nothing(self):
-        t = encode_ttfs(single_value_signal(0.5), TtfsCurve.LOG, 50)
+        t = encode_ttfs(single_value_signal(0.5), Scheme.TTFS_LOG, 50)
         assert (t.data == 0).all()
 
     def test_log_clamps_tiny_distances_to_last_index(self):
         # |2v-1| below 10^(-(N-1)/20) would need an index beyond the window
-        t = encode_ttfs(single_value_signal(0.5 + 1e-4), TtfsCurve.LOG, 50)
+        t = encode_ttfs(single_value_signal(0.5 + 1e-4), Scheme.TTFS_LOG, 50)
         assert int(np.flatnonzero(t.data[0, 0])[0]) == 49
 
     def test_at_most_one_spike_per_window_and_exact_afr(self):
         rng = np.random.default_rng(4)
         sig = Signal(rng.uniform(0, 1, size=(7, 40)), 20.0)
-        for curve in (TtfsCurve.LINEAR, TtfsCurve.LOG):
+        for curve in (Scheme.TTFS_LINEAR, Scheme.TTFS_LOG):
             t = encode_ttfs(sig, curve, 50)
             windows = np.abs(t.data[0]).reshape(7, 40, 50).sum(axis=2)
             assert (windows <= 1).all()
-            if curve is TtfsCurve.LINEAR:
+            if curve is Scheme.TTFS_LINEAR:
                 assert (windows == 1).all()
                 assert afr(t) == 1.0 / 50.0
 
     def test_needs_at_least_two_steps(self):
         with pytest.raises(ConfigError):
-            encode_ttfs(single_value_signal(0.5), TtfsCurve.LINEAR, 1)
+            encode_ttfs(single_value_signal(0.5), Scheme.TTFS_LINEAR, 1)
 
 
 class TestEncodeBinary:

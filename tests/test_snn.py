@@ -2,6 +2,7 @@
 compiled LIF recurrence."""
 
 import os
+import struct
 import subprocess
 import sys
 
@@ -17,14 +18,14 @@ from spikecodec import (
     Scheme,
     SpikeTensor,
     TrainConfig,
-    classify,
+    classify_batch,
     classify_detailed,
-    cuba_step,
     derive_seed,
     encode,
     forward,
     gradient_check,
     load_checkpoint,
+    output_rates,
     save_checkpoint,
     spike_rate_loss,
     synth_dataset,
@@ -38,7 +39,7 @@ from spikecodec.errors import (
     VersionMismatchError,
 )
 from spikecodec import snn
-from spikecodec.snn import _loss_and_grads, _simulate
+from spikecodec.snn import _lif_forward, _loss_and_grads, _simulate
 
 
 def encode_windows(dataset, config, base_seed=0):
@@ -52,24 +53,40 @@ def small_task(n_per_class=4, seconds=1.0, steps=10, seed=1):
     return encode_windows(ds, cfg, base_seed=seed)
 
 
+def cuba_steps(x, weights, params):
+    """Run one dense CUBA layer from a fresh state over an input sequence x
+    (timesteps, n_in) through the numpy reference recurrence.
+
+    Returns the spikes, synaptic currents and post-reset potentials, each
+    (timesteps, n).  The current is recovered from the potentials, which the
+    recurrence records before the reset: u[t] = v[t] - a_v * v_post[t - 1].
+    """
+    drive = (np.asarray(x, dtype=np.float64) @ np.asarray(weights).T)[:, np.newaxis, :]
+    v = np.empty_like(drive)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(snn, "_kernel", lambda: None)
+        _lif_forward(drive, v, params, soft=False)
+    s, v = drive[:, 0], v[:, 0]
+    v_post = v * (1.0 - s)
+    v_prev = np.vstack([np.zeros((1, v.shape[1])), v_post[:-1]])
+    return s, v - (1.0 - params.voltage_decay) * v_prev, v_post
+
+
 class TestCubaStep:
     def test_zero_weights_stay_silent(self):
         p = CubaParams()
         w = np.zeros((4, 3))
-        state = None
-        for _ in range(20):
-            s, state = cuba_step(state, np.ones(3), w, p)
-            assert (s == 0).all()
-        u, v = state
-        assert (u == 0).all() and (v == 0).all()
+        s, u, v = cuba_steps(np.ones((20, 3)), w, p)
+        assert (s == 0).all()
+        assert (u[-1] == 0).all() and (v[-1] == 0).all()
 
     def test_single_suprathreshold_drive_spikes_and_resets(self):
         # drive 1.5 * threshold from fresh state: u = v = 1.5, spike, reset
         p = CubaParams(threshold=1.0, current_decay=0.5, voltage_decay=0.3)
-        s, (u, v) = cuba_step(None, np.array([1.0]), np.array([[1.5]]), p)
-        assert s[0] == 1.0
-        assert u[0] == pytest.approx(1.5)
-        assert v[0] == 0.0
+        s, u, v = cuba_steps([[1.0]], [[1.5]], p)
+        assert s[0, 0] == 1.0
+        assert u[0, 0] == pytest.approx(1.5)
+        assert v[0, 0] == 0.0
 
     def test_subthreshold_drive_converges_below_threshold(self):
         # constant drive c: u -> c / a_u, v -> u / a_v (geometric series
@@ -78,31 +95,24 @@ class TestCubaStep:
         c = 0.2
         limit = (c / 0.5) / 0.5
         assert limit < p.threshold
-        state = None
-        for _ in range(1000):
-            s, state = cuba_step(state, np.array([1.0]), np.array([[c]]), p)
-            assert s[0] == 0.0
-        _, v = state
-        assert v[0] == pytest.approx(limit, rel=1e-6)
+        s, _, v = cuba_steps(np.ones((1000, 1)), [[c]], p)
+        assert (s == 0.0).all()
+        assert v[-1, 0] == pytest.approx(limit, rel=1e-6)
 
     def test_identity_relay_special_case(self):
         # full decays and threshold 0.5 relay a {0,1} train unchanged
         p = CubaParams(threshold=0.5, current_decay=1.0, voltage_decay=1.0)
         w = np.array([[1.0]])
-        state = None
         pattern = [1, 0, 1, 1, 0, 0, 1]
-        out = []
-        for bit in pattern:
-            s, state = cuba_step(state, np.array([float(bit)]), w, p)
-            out.append(int(s[0]))
+        s, _, _ = cuba_steps(np.array(pattern, dtype=np.float64)[:, None], w, p)
+        out = [int(spike) for spike in s[:, 0]]
         assert out == pattern
 
     def test_dimension_checks(self):
         p = CubaParams()
+        net = CubaNetwork((2, 4), params=p, dropout_p=0.0, weights=[np.zeros((4, 2))])
         with pytest.raises(ShapeError):
-            cuba_step(None, np.ones(3), np.zeros((4, 2)), p)
-        with pytest.raises(ShapeError):
-            cuba_step((np.zeros(3), np.zeros(3)), np.ones(2), np.zeros((4, 2)), p)
+            forward(net, np.ones((3, 10)))
 
 
 class TestForward:
@@ -191,7 +201,7 @@ class TestClassify:
         # an all-tie rate vector (silent input) must yield class 0
         net = CubaNetwork((7, 8, 3), dropout_p=0.0, seed=1)
         silent = SpikeTensor(np.zeros((1, 7, 40), dtype=np.int8), 1.0)
-        assert classify(net, silent) == 0
+        assert classify_detailed(net, silent).label == 0
         # the documented rule on plain rate vectors
         assert int(np.argmax(np.array([0.8, 0.1, 0.1]))) == 0
         assert int(np.argmax(np.array([0.5, 0.5, 0.1]))) == 0
@@ -206,7 +216,22 @@ class TestClassify:
     def test_classify_matches_forward(self):
         net = CubaNetwork((7, 16, 3), dropout_p=0.0, seed=3)
         tensor, _ = small_task()[0]
-        assert classify(net, tensor) == int(np.argmax(forward(net, tensor).rates))
+        assert (classify_detailed(net, tensor).label
+                == int(np.argmax(forward(net, tensor).rates)))
+
+    def test_batched_rates_match_single_samples(self):
+        net = CubaNetwork((7, 16, 3), dropout_p=0.0, seed=3)
+        data = small_task()
+        tensors = [t for t, _ in data]
+        x = np.stack([t.features() for t in tensors])
+        whole = output_rates(net, x)
+        assert whole.shape == (len(tensors), 3)
+        np.testing.assert_array_equal(output_rates(net, x, batch_size=5), whole)
+        for tensor, rates in zip(tensors, whole):
+            np.testing.assert_array_equal(forward(net, tensor).rates, rates)
+            np.testing.assert_array_equal(classify_detailed(net, tensor).rates, rates)
+        np.testing.assert_array_equal(classify_batch(net, tensors),
+                                      np.argmax(whole, axis=1))
 
 
 class TestTraining:
@@ -336,7 +361,15 @@ class TestCheckpoint:
                               weights=[w.astype(np.float32).astype(np.float64)
                                        for w in net.weights])
         for tensor, _ in data[:3]:
-            assert classify(loaded, tensor) == classify(rounded, tensor)
+            assert (classify_detailed(loaded, tensor).label
+                    == classify_detailed(rounded, tensor).label)
+
+    def test_zero_layers_is_a_shape_error(self, tmp_path):
+        path = tmp_path / "empty.cuba"
+        path.write_bytes(b"CUB1" + struct.pack("<HBId", 1, 0, 7, 0.1))
+        assert len(path.read_bytes()) == 19
+        with pytest.raises(ShapeError):
+            load_checkpoint(path)
 
 
 class TestSimulateInternals:
@@ -346,14 +379,10 @@ class TestSimulateInternals:
         x = (rng.uniform(size=(1, 5, 30)) < 0.4).astype(np.float64)
         out, _ = _simulate(net, x)
 
-        state = [None, None]
-        manual = np.empty((30, 1, 4))
-        for t in range(30):
-            s = x[0, :, t][None, :]
-            for li in range(2):
-                s, state[li] = cuba_step(state[li], s, net.weights[li],
-                                         net.params[li])
-            manual[t] = s
+        s = x[0].T
+        for li in range(2):
+            s, _, _ = cuba_steps(s, net.weights[li], net.params[li])
+        manual = s[:, np.newaxis, :]
         np.testing.assert_array_equal(out, manual)
 
 
