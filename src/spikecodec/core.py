@@ -145,8 +145,9 @@ class SpikeTensor:
         arr = np.ascontiguousarray(arr, dtype=np.int8)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
-        if self.time_step_ms <= 0:
-            raise ConfigError(f"time_step_ms must be positive, got {self.time_step_ms}")
+        if not 0 < self.time_step_ms < np.inf:
+            raise ConfigError(f"time_step_ms must be positive and finite, "
+                              f"got {self.time_step_ms}")
         if self.window_steps < 1:
             raise ConfigError(f"window_steps must be >= 1, got {self.window_steps}")
         object.__setattr__(self, "window_steps", int(self.window_steps))

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 import warnings
@@ -357,11 +358,30 @@ def unpack_header(fmt: str, blob: bytes, offset: int, path: str):
     return struct.unpack_from(fmt, blob, offset), end
 
 
+def read_sidecar(path: str) -> dict:
+    """The JSON object in a sidecar file, or {} when there is no file.
+
+    Raises ParseError when the file is not UTF-8 JSON holding an object.
+    """
+    if not os.path.exists(path):
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: sidecar is not valid JSON: {exc}") from exc
+    if not isinstance(sidecar, dict):
+        raise ParseError(f"{path}: sidecar holds {type(sidecar).__name__}, "
+                         "expected a JSON object")
+    return sidecar
+
+
 def read_spikes(path):
     """Read an SPK1 file (and its sidecar if present).
 
     Returns (SpikeTensor, metadata dict).  Raises BadMagicError,
-    VersionMismatchError, or TruncatedPayloadError on malformed files.
+    VersionMismatchError, TruncatedPayloadError, ShapeError or ParseError on
+    malformed files, including well-formed fields holding invalid values.
     """
     path = os.fspath(path)
     with open(path, "rb") as fh:
@@ -372,9 +392,12 @@ def read_spikes(path):
     if version != SPIKE_VERSION:
         raise VersionMismatchError(f"{path}: version {version} unsupported")
     (ndim,), offset = unpack_header("<B", blob, offset, path)
+    if ndim != 3:
+        raise ShapeError(f"{path}: {ndim} dimensions, expected 3 "
+                         "(trains, channels, timesteps)")
     dims, offset = unpack_header(f"<{ndim}I", blob, offset, path)
     (time_step_ms,), offset = unpack_header("<d", blob, offset, path)
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     payload = blob[offset:offset + count]
     if len(payload) < count:
         raise TruncatedPayloadError(
@@ -382,11 +405,10 @@ def read_spikes(path):
         )
     data = np.frombuffer(payload, dtype=np.int8).reshape(dims)
 
-    metadata = {}
-    sidecar_path = _sidecar_path(path)
-    if os.path.exists(sidecar_path):
-        with open(sidecar_path) as fh:
-            metadata = json.load(fh)
-    window_steps = int(metadata.pop("window_steps", 1))
-    tensor = SpikeTensor(data, time_step_ms=time_step_ms, window_steps=window_steps)
+    metadata = read_sidecar(_sidecar_path(path))
+    try:
+        window_steps = int(metadata.pop("window_steps", 1))
+        tensor = SpikeTensor(data, time_step_ms=time_step_ms, window_steps=window_steps)
+    except (ConfigError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return tensor, metadata

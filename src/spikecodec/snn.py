@@ -13,6 +13,8 @@ element-wise time recurrence steps through time.  That recurrence runs in a
 small C kernel (_cuba.c, built on first use with the system C compiler and
 loaded through ctypes) when one can be built, and in numpy otherwise; the
 two give bitwise the same results, and soft mode always uses numpy.
+Every (T, B, n) block lives in a _Workspace: train keeps one for all its
+batches and accuracy passes, every other caller gets a fresh one per call.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import ctypes
 import functools
 import hashlib
 import json
+import math
 import os
 import platform
 import shutil
@@ -32,12 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Rng, SpikeTensor
-from .dataio import unpack_header
+from .dataio import read_sidecar, unpack_header
 from .errors import (
     BadMagicError,
     ConfigError,
     DivergenceError,
     EmptyDatasetError,
+    ParseError,
     ShapeError,
     TruncatedPayloadError,
     VersionMismatchError,
@@ -120,8 +124,8 @@ class CubaParams:
     voltage_decay: float = 0.3
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ConfigError(f"threshold must be positive, got {self.threshold}")
+        if not 0 < self.threshold < np.inf:
+            raise ConfigError(f"threshold must be positive and finite, got {self.threshold}")
         if not 0 < self.current_decay <= 1:
             raise ConfigError(f"current_decay must be in (0, 1], got {self.current_decay}")
         if not 0 < self.voltage_decay <= 1:
@@ -273,6 +277,27 @@ def _stack_batch(tensors) -> np.ndarray:
     return np.stack(feats)  # (B, F, T)
 
 
+class _Workspace:
+    """Named flat float64 buffers, reused from call to call.
+
+    take(name, shape) returns the C-contiguous prefix of the buffer, so a
+    smaller request (the short last batch, an accuracy block) reuses the
+    memory of a larger one; a buffer is only (re)allocated when a request
+    outgrows it.  The returned view is overwritten by the next take of the
+    same name, so nothing a caller keeps may alias it.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def take(self, name, shape) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
 def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
                  slope: float = 10.0):
     """LIF recurrence over a (T, B, n) block of input currents.
@@ -311,28 +336,35 @@ def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
 
 def _simulate(net: CubaNetwork, x: np.ndarray, soft: bool = False,
               slope: float = 10.0, record: bool = False,
-              dropout_masks=None):
+              dropout_masks=None, work: _Workspace = None):
     """Run the network over a (B, F, T) block.
 
     Returns (out_spikes (T, B, C), tape).  When record is set, the tape holds
     per layer the inputs "x", pre-reset potentials "v" and spikes "s" needed
-    for backpropagation, all in (T, B, n) layout.
+    for backpropagation, all in (T, B, n) layout.  Both are views into work
+    (a fresh workspace if none is given).
     """
     b, f, t_len = x.shape
     if f != net.n_inputs:
         raise ShapeError(f"input features {f} != network input width {net.n_inputs}")
-    current = np.ascontiguousarray(x.transpose(2, 0, 1))  # (T, B, F)
+    work = work or _Workspace()
+    current = work.take("input", (t_len, b, f))
+    np.copyto(current, x.transpose(2, 0, 1))
     tape = []
     for li in range(net.n_layers):
         w = net.weights[li]
-        drive = (current.reshape(t_len * b, w.shape[1]) @ w.T).reshape(t_len, b, w.shape[0])
-        v_rec = np.empty_like(drive) if record else None
+        n_out, n_in = w.shape
+        drive = work.take(("s", li), (t_len, b, n_out))
+        np.matmul(current.reshape(t_len * b, n_in), w.T,
+                  out=drive.reshape(t_len * b, n_out))
+        v_rec = work.take(("v", li), drive.shape) if record else None
         _lif_forward(drive, v_rec, net.params[li], soft, slope)
         if record:
             tape.append({"x": current, "v": v_rec, "s": drive})
         current = drive
         if dropout_masks is not None and li < net.n_layers - 1:
-            current = drive * dropout_masks[li]
+            current = np.multiply(drive, dropout_masks[li],
+                                  out=work.take(("x", li + 1), drive.shape))
     return current, tape
 
 
@@ -351,13 +383,16 @@ def forward(net: CubaNetwork, spikes_in, record_potentials: bool = False) -> For
 
 
 def output_rates(net: CubaNetwork, x: np.ndarray, soft: bool = False,
-                 slope: float = 10.0, batch_size: int = None) -> np.ndarray:
+                 slope: float = 10.0, batch_size: int = None,
+                 work: _Workspace = None) -> np.ndarray:
     """Per-class output rates (B, classes) of a stacked (B, F, T) block: the
     mean output spike count over time.  With batch_size, the block is
-    simulated that many samples at a time."""
+    simulated that many samples at a time, every block in one workspace."""
     step = batch_size or x.shape[0]
+    work = work or _Workspace()
     return np.concatenate([
-        _simulate(net, x[start:start + step], soft=soft, slope=slope)[0].mean(axis=0)
+        _simulate(net, x[start:start + step], soft=soft, slope=slope,
+                  work=work)[0].mean(axis=0)
         for start in range(0, x.shape[0], step)
     ])
 
@@ -393,7 +428,7 @@ def _targets(labels: np.ndarray, n_classes: int, spec: LossSpec) -> np.ndarray:
 
 def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
                     loss_spec: LossSpec, slope: float, soft: bool,
-                    dropout_masks=None):
+                    dropout_masks=None, work: _Workspace = None):
     """Forward plus backpropagation through time over a (B, F, T) block.
 
     Returns (loss, [dW per layer]).  The backward pass follows the forward
@@ -401,10 +436,15 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
     derivative in soft mode), the multiplicative reset, and both state
     recurrences.  The reverse recurrence yields the current gradients of a
     whole layer, from which dW and the input gradient are one matmul each.
+    The tape and the gradient blocks live in work (a fresh workspace if
+    none is given).  Each layer's current and spike gradients are dead once
+    the next layer down has read them, so all layers share one buffer of
+    each, as wide as the widest layer; the returned dW are new arrays.
     """
     b, _, t_len = x.shape
+    work = work or _Workspace()
     out, tape = _simulate(net, x, soft=soft, slope=slope, record=True,
-                          dropout_masks=dropout_masks)
+                          dropout_masks=dropout_masks, work=work)
     rates = out.mean(axis=0)  # (B, C)
     targets = _targets(labels, net.n_classes, loss_spec)
     diff = rates - targets
@@ -419,13 +459,15 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
         mask = None
         if dropout_masks is not None and li < net.n_layers - 1:
             mask = dropout_masks[li]
-        g_u = np.empty_like(layer["v"])
+        n_out, n_in = w.shape
+        g_u = work.take("g_u", layer["v"].shape)
         _lif_backward(layer["v"], layer["s"], g_s, mask, g_u, net.params[li],
                       slope, soft)
-        g_u = g_u.reshape(t_len * b, w.shape[0])
-        grads[li] = g_u.T @ layer["x"].reshape(t_len * b, w.shape[1])
+        g_u = g_u.reshape(t_len * b, n_out)
+        grads[li] = g_u.T @ layer["x"].reshape(t_len * b, n_in)
         if li > 0:  # the network input's gradient is never read
-            g_s = (g_u @ w).reshape(t_len, b, w.shape[1])
+            g_s = work.take("g_s", (t_len, b, n_in))
+            np.matmul(g_u, w, out=g_s.reshape(t_len * b, n_in))
     return loss, grads
 
 
@@ -503,8 +545,8 @@ class TrainResult:
 
 
 def _accuracy(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
-              batch_size: int) -> float:
-    pred = np.argmax(output_rates(net, x, batch_size=batch_size), axis=1)
+              batch_size: int, work: _Workspace) -> float:
+    pred = np.argmax(output_rates(net, x, batch_size=batch_size, work=work), axis=1)
     return float(np.mean(pred == labels))
 
 
@@ -516,6 +558,8 @@ def train(net: CubaNetwork, dataset, cfg: TrainConfig,
     pairs sharing one tensor shape.  Accuracy is tracked every epoch and the
     weights of the first best test-accuracy epoch are restored at the end.
     Without a test_set the training set doubles as the tracking set.
+    One workspace serves every batch and accuracy pass of the call and is
+    released when it returns.
     """
     if len(dataset) == 0:
         raise EmptyDatasetError("training dataset is empty")
@@ -534,6 +578,7 @@ def train(net: CubaNetwork, dataset, cfg: TrainConfig,
     best_epoch = -1
     best_weights = net.copy_weights()
     n = x_train.shape[0]
+    work = _Workspace()
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -553,14 +598,14 @@ def train(net: CubaNetwork, dataset, cfg: TrainConfig,
                 ]
             loss, grads = _loss_and_grads(net, xb, yb, loss_spec,
                                           cfg.surrogate_slope, cfg.soft_mode,
-                                          dropout_masks=masks)
+                                          dropout_masks=masks, work=work)
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite at epoch {epoch}")
             adam.step(net.weights, grads)
             epoch_loss += loss
             n_batches += 1
-        train_acc = _accuracy(net, x_train, y_train, cfg.batch_size)
-        test_acc = _accuracy(net, x_test, y_test, cfg.batch_size)
+        train_acc = _accuracy(net, x_train, y_train, cfg.batch_size, work)
+        test_acc = _accuracy(net, x_test, y_test, cfg.batch_size, work)
         history.append(EpochStats(epoch, epoch_loss / n_batches, train_acc, test_acc))
         if test_acc > best_acc:
             best_acc = test_acc
@@ -698,6 +743,8 @@ def load_checkpoint(path):
     """Read a checkpoint written by save_checkpoint.
 
     Returns (net, sidecar dict); the sidecar is empty if its file is absent.
+    Fields that parse but hold invalid values (a zero width, a non-positive
+    threshold) raise ParseError, like a sidecar that is not a JSON object.
     """
     path = os.fspath(path)
     with open(path, "rb") as fh:
@@ -712,10 +759,10 @@ def load_checkpoint(path):
         raise ShapeError(f"{path}: checkpoint has no layers")
     sizes, offset = unpack_header(f"<{n_layers + 1}I", blob, offset, path)
     (dropout_p,), offset = unpack_header("<d", blob, offset, path)
-    params = []
+    constants = []
     for _ in range(n_layers):
-        constants, offset = unpack_header("<ddd", blob, offset, path)
-        params.append(CubaParams(*constants))
+        layer_constants, offset = unpack_header("<ddd", blob, offset, path)
+        constants.append(layer_constants)
     weights = []
     for i in range(n_layers):
         count = sizes[i + 1] * sizes[i]
@@ -728,10 +775,9 @@ def load_checkpoint(path):
         weights.append(np.frombuffer(chunk, dtype="<f4").reshape(
             sizes[i + 1], sizes[i]).astype(np.float64))
         offset += nbytes
-    net = CubaNetwork(sizes, params=params, dropout_p=dropout_p, weights=weights)
-    sidecar = {}
-    sidecar_path = path + ".json"
-    if os.path.exists(sidecar_path):
-        with open(sidecar_path) as fh:
-            sidecar = json.load(fh)
-    return net, sidecar
+    try:
+        net = CubaNetwork(sizes, params=[CubaParams(*c) for c in constants],
+                          dropout_p=dropout_p, weights=weights)
+    except ConfigError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return net, read_sidecar(path + ".json")

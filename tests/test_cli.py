@@ -11,7 +11,8 @@ import pytest
 from spikecodec import cli
 from spikecodec.cli import main
 from spikecodec.dataio import read_spikes
-from spikecodec.errors import DegenerateChannelWarning
+from spikecodec.errors import DegenerateChannelWarning, ParseError
+from spikecodec.snn import CubaNetwork, load_checkpoint, save_checkpoint
 
 SYNTH_SMALL = ["synth", "--classes", "3", "--samples-per-class", "4",
                "--duration", "1.0"]
@@ -235,3 +236,77 @@ class TestTrainInferPerturb:
                  "--seed", "11", "--out", out])
             outs.append((out / "w00001.spk").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestMalformedDataFiles:
+    """Well-formed fields holding invalid values, and sidecars that are not
+    JSON objects, are data errors (exit 3), not configuration errors."""
+
+    # SPK1: magic, version u16, ndim u8, three u32 dims, then the f64 step
+    SPK_STEP = 4 + 2 + 1 + 3 * 4
+    # CUB1 of a (2, 3) net: magic, version, layer count, two u32 sizes,
+    # dropout f64, then the first layer's threshold f64
+    CUB_WIDTH, CUB_THRESHOLD = 4 + 2 + 1, 4 + 2 + 1 + 2 * 4 + 8
+
+    @staticmethod
+    def spike_copy(spikes_dir, tmp_path):
+        path = tmp_path / "w.spk"
+        path.write_bytes((spikes_dir / "w00000.spk").read_bytes())
+        (tmp_path / "w.json").write_bytes((spikes_dir / "w00000.json").read_bytes())
+        return path
+
+    @staticmethod
+    def checkpoint(tmp_path):
+        path = tmp_path / "m.cuba"
+        save_checkpoint(CubaNetwork((2, 3), dropout_p=0.0, seed=1), path)
+        return path
+
+    def perturb(self, path, tmp_path):
+        return run(["perturb", path, "--noise-p", "0.1", "--out", tmp_path / "o"])
+
+    @pytest.mark.parametrize("step", (0.0, float("nan")))
+    def test_spike_file_time_step_outside_positive_reals(self, step, spikes_dir,
+                                                         tmp_path, capsys):
+        path = self.spike_copy(spikes_dir, tmp_path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, self.SPK_STEP, step)
+        path.write_bytes(bytes(blob))
+        assert self.perturb(path, tmp_path) == 3
+        assert "time_step_ms" in capsys.readouterr().err
+
+    def test_sidecar_window_steps_of_zero(self, spikes_dir, tmp_path, capsys):
+        path = self.spike_copy(spikes_dir, tmp_path)
+        sidecar = json.loads((tmp_path / "w.json").read_text())
+        sidecar["window_steps"] = 0
+        (tmp_path / "w.json").write_text(json.dumps(sidecar))
+        assert self.perturb(path, tmp_path) == 3
+        assert "window_steps" in capsys.readouterr().err
+
+    def test_corrupt_spike_sidecar(self, spikes_dir, tmp_path, capsys):
+        path = self.spike_copy(spikes_dir, tmp_path)
+        (tmp_path / "w.json").write_text("{")
+        with pytest.raises(ParseError):
+            read_spikes(path)
+        assert self.perturb(path, tmp_path) == 3
+        assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, offset, value, message", (
+        ("<I", CUB_WIDTH, 0, "layer sizes"),
+        ("<d", CUB_THRESHOLD, 0.0, "threshold"),
+        ("<d", CUB_THRESHOLD, float("nan"), "threshold")))
+    def test_checkpoint_value_outside_its_range(self, fmt, offset, value, message,
+                                                spikes_dir, tmp_path, capsys):
+        path = self.checkpoint(tmp_path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(fmt, blob, offset, value)
+        path.write_bytes(bytes(blob))
+        assert run(["infer", path, spikes_dir / "w00000.spk"]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_sidecar(self, spikes_dir, tmp_path, capsys):
+        path = self.checkpoint(tmp_path)
+        (tmp_path / "m.cuba.json").write_text("{")
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+        assert run(["infer", path, spikes_dir / "w00000.spk"]) == 3
+        assert "not valid JSON" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 and the SPK1 spike-file format."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from spikecodec.errors import (
     LabelError,
     MissingColumnError,
     ParseError,
+    ShapeError,
     TruncatedPayloadError,
     VersionMismatchError,
 )
@@ -262,6 +264,21 @@ class TestSpikeFiles:
             path.write_bytes(header[:cut])
             with pytest.raises(TruncatedPayloadError):
                 read_spikes(path)
+
+    def test_dimension_count_other_than_three_is_a_shape_error(self, tmp_path):
+        # 65 empty dimensions: past numpy's dimension limit, zero bytes long
+        path = tmp_path / "t.spk"
+        path.write_bytes(b"SPK1" + struct.pack("<HB65Id", 1, 65, *[0] * 65, 1.0))
+        with pytest.raises(ShapeError):
+            read_spikes(path)
+
+    def test_dimensions_whose_product_overflows_int64_are_a_truncation(self,
+                                                                      tmp_path):
+        path = tmp_path / "t.spk"
+        path.write_bytes(b"SPK1" + struct.pack("<HB3Id", 1, 3, 2**32 - 1,
+                                               2**32 - 1, 2, 1.0))
+        with pytest.raises(TruncatedPayloadError):
+            read_spikes(path)
 
     def test_default_vocabulary_is_twelve_classes(self):
         assert len(DEFAULT_LABELS) == 12

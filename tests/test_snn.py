@@ -39,6 +39,7 @@ from spikecodec.errors import (
     VersionMismatchError,
 )
 from spikecodec import snn
+from spikecodec.evaluation import VARIANT_NAMES, encode_dataset, variant_config
 from spikecodec.snn import _lif_forward, _loss_and_grads, _simulate
 
 
@@ -364,6 +365,31 @@ class TestCheckpoint:
             assert (classify_detailed(loaded, tensor).label
                     == classify_detailed(rounded, tensor).label)
 
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_trained_network_reloads_with_identical_rasters(self, variant,
+                                                            tmp_path):
+        # float32 storage rounds the trained float64 weights; no spike of
+        # the held-out split may move because of it
+        ds = synth_dataset(3, 6, seed=301, seconds=1.0)
+        train_ds, test_ds = ds.split_leave_one_user_out("user0")
+        config = variant_config(variant, steps_per_sample=10, seed=301)
+        encoded_train = encode_dataset(train_ds, config, derive_seed(301, 1))
+        encoded_test = encode_dataset(test_ds, config, derive_seed(301, 2))
+        sample = encoded_train[0][0]
+        net = CubaNetwork((sample.n_trains * sample.n_channels, 256, 64, 3),
+                          dropout_p=0.1, seed=301)
+        result = train(net, encoded_train, TrainConfig(
+            epochs=2, learning_rate=2e-3, batch_size=16, seed=301),
+            test_set=encoded_test)
+        path = tmp_path / "model.cuba"
+        save_checkpoint(result.net, path)
+        loaded, _ = load_checkpoint(path)
+        x = snn._stack_batch([t for t, _ in encoded_test])
+        trained_out, _ = _simulate(result.net, x)
+        loaded_out, _ = _simulate(loaded, x)
+        assert trained_out.any()
+        np.testing.assert_array_equal(loaded_out, trained_out)
+
     def test_zero_layers_is_a_shape_error(self, tmp_path):
         path = tmp_path / "empty.cuba"
         path.write_bytes(b"CUB1" + struct.pack("<HBId", 1, 0, 7, 0.1))
@@ -384,6 +410,60 @@ class TestSimulateInternals:
             s, _, _ = cuba_steps(s, net.weights[li], net.params[li])
         manual = s[:, np.newaxis, :]
         np.testing.assert_array_equal(out, manual)
+
+
+class TestWorkspace:
+    """One workspace reused across calls of different batch sizes gives
+    the results of a fresh workspace per call, and nothing returned aliases
+    its buffers."""
+
+    def test_reuse_across_batch_sizes_is_bitwise_fresh(self):
+        net = CubaNetwork((7, 32, 16, 3), dropout_p=0.1, seed=8)
+        rng = np.random.default_rng(12)
+        work = snn._Workspace()
+        kept = []
+        for batch in (16, 7, 16):
+            x = (rng.uniform(size=(batch, 7, 40)) < 0.3).astype(np.float64)
+            labels = rng.integers(0, 3, size=batch)
+            masks = [(rng.uniform(size=(batch, n)) < 0.9) / 0.9
+                     for n in net.layer_sizes[1:-1]]
+            shared = _loss_and_grads(net, x, labels, LossSpec(), 10.0, soft=False,
+                                     dropout_masks=masks, work=work)
+            fresh = _loss_and_grads(net, x, labels, LossSpec(), 10.0, soft=False,
+                                    dropout_masks=masks)
+            assert shared[0] == fresh[0]
+            for g, g_fresh in zip(shared[1], fresh[1]):
+                np.testing.assert_array_equal(g, g_fresh)
+            kept.append((shared, [g.copy() for g in shared[1]]))
+        assert any(g.any() for g in kept[0][1])
+        for (_, grads), copies in kept:
+            for g, g_copy in zip(grads, copies):
+                np.testing.assert_array_equal(g, g_copy)
+
+    def test_smaller_request_reuses_the_buffer_prefix(self):
+        work = snn._Workspace()
+        big = work.take("a", (4, 16, 3))
+        small = work.take("a", (4, 7, 3))
+        assert small.flags.c_contiguous and small.shape == (4, 7, 3)
+        assert np.shares_memory(big, small)
+        assert not np.shares_memory(work.take("b", (4, 7, 3)), big)
+
+    def test_results_kept_across_later_calls_are_unchanged(self):
+        net = CubaNetwork((7, 16, 3), dropout_p=0.0, seed=4)
+        rng = np.random.default_rng(5)
+        a, b = ((rng.uniform(size=(7, 30)) < p).astype(np.float64) for p in (0.5, 0.1))
+        first = forward(net, a, record_potentials=True)
+        raster = first.spikes.copy()
+        potentials = [v.copy() for v in first.potentials]
+        rates = output_rates(net, a[np.newaxis])
+        rates_copy = rates.copy()
+        forward(net, b, record_potentials=True)
+        output_rates(net, b[np.newaxis])
+        assert raster.any()
+        np.testing.assert_array_equal(first.spikes, raster)
+        for v, v_copy in zip(first.potentials, potentials):
+            np.testing.assert_array_equal(v, v_copy)
+        np.testing.assert_array_equal(rates, rates_copy)
 
 
 class TestCompiledKernel:
