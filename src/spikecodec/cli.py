@@ -17,7 +17,7 @@ import subprocess
 import sys
 
 from . import __version__
-from .core import EncodingConfig, Scheme, derive_seed
+from .core import EncodingConfig, derive_seed
 from .dataio import (
     CsvSchema,
     WindowedDataset,
@@ -32,6 +32,7 @@ from .errors import (
     ConfigError,
     DivergenceError,
     EmptyDatasetError,
+    ParseError,
     SpikeCodecError,
 )
 from .evaluation import (
@@ -40,6 +41,7 @@ from .evaluation import (
     VARIANTS,
     encode_dataset,
     evaluate_scheme,
+    fit_variant,
     mean_afr,
     variant_config,
 )
@@ -50,8 +52,10 @@ from .snn import (
     dataset_fingerprint,
     load_checkpoint,
     save_checkpoint,
-    train,
 )
+# train is no longer called here but stays bound: bench/run.py times it at
+# this binding too
+from .snn import train  # noqa: F401
 
 SCHEME_CHOICES = tuple(VARIANTS)
 
@@ -254,18 +258,10 @@ def cmd_train(args) -> int:
         raise EmptyDatasetError("no windows to train on")
     train_ds, test_ds = _split(dataset, args.holdout_user)
     config = _config_from_args(args, args.scheme)
-    encoded_train = encode_dataset(train_ds, config, derive_seed(config.seed, 1))
-    encoded_test = encode_dataset(test_ds, config, derive_seed(config.seed, 2))
-
-    sample = encoded_train[0][0]
-    n_features = sample.n_trains * sample.n_channels
-    from .snn import CubaNetwork  # local import keeps module top light
-
-    net = CubaNetwork((n_features, 256, 64, dataset.n_classes),
-                      dropout_p=0.1, seed=args.train_seed)
     train_cfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr,
                             batch_size=args.batch, seed=args.train_seed)
-    result = train(net, encoded_train, train_cfg, test_set=encoded_test)
+    encoded_train, _, result = fit_variant(config, train_ds, test_ds, train_cfg,
+                                           args.train_seed, track_train_accuracy=True)
 
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "checkpoint.cuba")
@@ -288,9 +284,31 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _label_names(sidecar: dict, path: str):
+    """A checkpoint sidecar's label_names, or None without them; anything
+    but a list of strings is a data error."""
+    names = sidecar.get("label_names")
+    if names is not None and not (isinstance(names, list)
+                                  and all(isinstance(n, str) for n in names)):
+        raise ParseError(f"{path}.json: label_names must be a list of strings, "
+                         f"got {type(names).__name__}")
+    return names
+
+
+def _sidecar_encoding(metadata: dict, path: str):
+    """The EncodingConfig a spike file's sidecar records, or None without
+    one; an entry EncodingConfig.from_dict rejects is a data error."""
+    if metadata.get("encoding") is None:
+        return None
+    try:
+        return EncodingConfig.from_dict(metadata["encoding"])
+    except ConfigError as exc:
+        raise ParseError(f"{path}: sidecar encoding: {exc}") from exc
+
+
 def cmd_infer(args) -> int:
     net, sidecar = load_checkpoint(args.checkpoint)
-    label_names = sidecar.get("label_names")
+    label_names = _label_names(sidecar, args.checkpoint)
     for path in args.spikes:
         tensor, _ = read_spikes(path)
         result = classify_detailed(net, tensor)
@@ -311,9 +329,9 @@ def cmd_perturb(args) -> int:
     for i, path in enumerate(args.spikes):
         tensor, metadata = read_spikes(path)
         if args.mode == "auto":
-            scheme_name = (metadata.get("encoding") or {}).get("scheme")
-            mode = (noise_mode_for(Scheme.from_string(scheme_name))
-                    if scheme_name else NoiseMode.FLIP_BINARY)
+            encoding = _sidecar_encoding(metadata, path)
+            mode = (noise_mode_for(encoding.scheme) if encoding
+                    else NoiseMode.FLIP_BINARY)
         else:
             mode = NoiseMode(args.mode)
         spec = NoiseSpec(args.noise_p, seed=derive_seed(args.seed, i), mode=mode)

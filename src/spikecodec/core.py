@@ -9,7 +9,7 @@ supports deterministic child derivation for parallel workers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -223,15 +223,25 @@ class EncodingConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EncodingConfig":
+    def from_dict(cls, d) -> "EncodingConfig":
+        """Inverse of to_dict.  Anything to_dict could not have written (not
+        an object, a missing or unknown key, a value of the wrong type or
+        out of range) raises ConfigError."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"an encoding config is an object, got {type(d).__name__}")
+        if "scheme" not in d:
+            raise ConfigError("an encoding config needs a scheme")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown encoding config keys: {', '.join(unknown)}")
         d = dict(d)
-        d["scheme"] = Scheme.from_string(d["scheme"])
-        if d.get("thresholds") is not None:
-            d["thresholds"] = tuple(tuple(b) for b in d["thresholds"])
-        return cls(**d)
-
-    def with_seed(self, seed: int) -> "EncodingConfig":
-        return replace(self, seed=int(seed))
+        try:
+            d["scheme"] = Scheme.from_string(d["scheme"])
+            if d.get("thresholds") is not None:
+                d["thresholds"] = tuple(tuple(b) for b in d["thresholds"])
+            return cls(**d)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad encoding config: {exc}") from exc
 
 
 def _freeze_banks(thresholds) -> tuple:

@@ -530,9 +530,12 @@ class _Adam:
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch of training: mean batch loss and the accuracies after it.
+    train_accuracy is None when train ran with track_train_accuracy off."""
+
     epoch: int
     loss: float
-    train_accuracy: float
+    train_accuracy: float | None
     test_accuracy: float
 
 
@@ -551,15 +554,20 @@ def _accuracy(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
 
 
 def train(net: CubaNetwork, dataset, cfg: TrainConfig,
-          test_set=None, loss_spec: LossSpec = LossSpec()) -> TrainResult:
+          test_set=None, loss_spec: LossSpec = LossSpec(),
+          track_train_accuracy: bool = True) -> TrainResult:
     """Surrogate-gradient training with ADAM; deterministic given seed.
 
     dataset (and test_set, if given) are sequences of (SpikeTensor, label)
     pairs sharing one tensor shape.  Accuracy is tracked every epoch and the
     weights of the first best test-accuracy epoch are restored at the end.
-    Without a test_set the training set doubles as the tracking set.
-    One workspace serves every batch and accuracy pass of the call and is
-    released when it returns.
+    Without a test_set the training set doubles as the tracking set, and
+    one pass per epoch fills both accuracies.  With track_train_accuracy
+    off, no training-split pass runs and every EpochStats.train_accuracy is
+    None; the accuracy passes draw no random numbers, so weights, losses
+    and test accuracies are the same either way.  One workspace serves
+    every batch and accuracy pass of the call and is released when it
+    returns.
     """
     if len(dataset) == 0:
         raise EmptyDatasetError("training dataset is empty")
@@ -604,8 +612,11 @@ def train(net: CubaNetwork, dataset, cfg: TrainConfig,
             adam.step(net.weights, grads)
             epoch_loss += loss
             n_batches += 1
-        train_acc = _accuracy(net, x_train, y_train, cfg.batch_size, work)
         test_acc = _accuracy(net, x_test, y_test, cfg.batch_size, work)
+        train_acc = None
+        if track_train_accuracy:
+            train_acc = (test_acc if x_test is x_train else
+                         _accuracy(net, x_train, y_train, cfg.batch_size, work))
         history.append(EpochStats(epoch, epoch_loss / n_batches, train_acc, test_acc))
         if test_acc > best_acc:
             best_acc = test_acc

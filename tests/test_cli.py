@@ -310,3 +310,23 @@ class TestMalformedDataFiles:
             load_checkpoint(path)
         assert run(["infer", path, spikes_dir / "w00000.spk"]) == 3
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_checkpoint_label_names_not_a_list(self, spikes_dir, tmp_path, capsys):
+        path = self.checkpoint(tmp_path)
+        (tmp_path / "m.cuba.json").write_text(json.dumps({"label_names": 5}))
+        assert run(["infer", path, spikes_dir / "w00000.spk"]) == 3
+        assert "label_names" in capsys.readouterr().err
+
+    def test_spike_sidecar_encoding_not_an_object(self, spikes_dir, tmp_path, capsys):
+        path = self.spike_copy(spikes_dir, tmp_path)
+        (tmp_path / "w.json").write_text(json.dumps({"encoding": [1]}))
+        assert self.perturb(path, tmp_path) == 3
+        assert "encoding" in capsys.readouterr().err
+
+    def test_spike_sidecar_unknown_scheme_is_data_error(self, spikes_dir, tmp_path,
+                                                        capsys):
+        path = self.spike_copy(spikes_dir, tmp_path)
+        (tmp_path / "w.json").write_text(
+            json.dumps({"encoding": {"scheme": "ttfs-linear "}}))
+        assert self.perturb(path, tmp_path) == 3
+        assert "unknown scheme" in capsys.readouterr().err

@@ -125,6 +125,21 @@ class TestEncodingConfig:
         cfg = EncodingConfig(Scheme.DELTA_MOD, thresholds=(0.1, 0.2), seed=9)
         assert EncodingConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("d", (
+        [1],
+        [["scheme", "binary"]],
+        {},
+        {"scheme": "ttfs-linear "},
+        {"scheme": 3},
+        {"scheme": "binary", "bits": 6},
+        {"scheme": "binary", "n_bits": "6"},
+        {"scheme": "delta-mod", "thresholds": 0.1},
+        {"scheme": "delta-mod", "thresholds": [["a"]]},
+    ))
+    def test_from_dict_rejects_what_to_dict_cannot_write(self, d):
+        with pytest.raises(ConfigError):
+            EncodingConfig.from_dict(d)
+
 
 class TestThresholdBanks:
     def test_default_banks_split_imu_and_hbc(self):

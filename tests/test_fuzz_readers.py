@@ -1,17 +1,21 @@
 """Fuzzing the binary readers: whatever bytes an SPK1 file, a CUB1
 checkpoint or a JSON sidecar holds, reading it gives a value or a
-SpikeCodecError, never any other exception."""
+SpikeCodecError, never any other exception; and whatever JSON types the
+sidecar fields the CLI reads hold, `infer` and `perturb` exit 0 or 3."""
 
 import json
 import struct
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikecodec.dataio import read_spikes
+from spikecodec import EncodingConfig, SpikeTensor
+from spikecodec.cli import main
+from spikecodec.dataio import read_spikes, write_spikes
 from spikecodec.errors import SpikeCodecError
-from spikecodec.snn import load_checkpoint
+from spikecodec.snn import CubaNetwork, load_checkpoint, save_checkpoint
 
 FUZZ = settings(max_examples=250, deadline=None, database=None)
 
@@ -95,3 +99,45 @@ def test_checkpoint_reader_gives_a_value_or_a_spikecodec_error(fuzz_dir, blob,
                                                                sidecar):
     read_or_fail_cleanly(load_checkpoint, fuzz_dir / "m.cuba",
                          fuzz_dir / "m.cuba.json", blob, sidecar)
+
+
+# Sidecar fields of random JSON types, beside values of the right type:
+# encoding objects with known, misspelt and unknown keys, and label lists.
+encodings = st.dictionaries(
+    st.sampled_from([f.name for f in fields(EncodingConfig)] + ["bogus"]),
+    json_values | st.sampled_from(["ttfs-log", "delta-mod", "binary", 2, [[0.1]]]),
+    max_size=4)
+typed_sidecars = st.fixed_dictionaries({}, optional={
+    "encoding": json_values | encodings,
+    "label_names": json_values | st.lists(st.text(max_size=3), max_size=4),
+})
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A (2, 3) checkpoint and a spike file it can classify."""
+    root = tmp_path_factory.mktemp("cli")
+    ckpt = root / "m.cuba"
+    save_checkpoint(CubaNetwork((2, 3), dropout_p=0.0, seed=1), ckpt)
+    spk = root / "w.spk"
+    write_spikes(SpikeTensor([[[1, 0, -1, 0, 1], [0, 1, 0, 1, 0]]], 1.0), {}, spk)
+    return root, ckpt, spk
+
+
+@FUZZ
+@given(sidecar=typed_sidecars)
+def test_infer_exits_cleanly_whatever_the_checkpoint_sidecar_holds(cli_files,
+                                                                   sidecar):
+    _, ckpt, spk = cli_files
+    ckpt.with_name("m.cuba.json").write_text(json.dumps(sidecar))
+    assert main(["infer", str(ckpt), str(spk)]) in (0, 3)
+
+
+@FUZZ
+@given(sidecar=typed_sidecars)
+def test_perturb_exits_cleanly_whatever_the_spike_sidecar_holds(cli_files,
+                                                                sidecar):
+    root, _, spk = cli_files
+    spk.with_suffix(".json").write_text(json.dumps(sidecar))
+    assert main(["perturb", str(spk), "--noise-p", "0.2", "--mode", "auto",
+                 "--out", str(root / "out")]) in (0, 3)

@@ -16,9 +16,9 @@ from spikecodec import (
     snr_db,
     synth_dataset,
 )
-from spikecodec.core import Rng
-from spikecodec.evaluation import encode_dataset, evaluate_scheme, mean_afr
-from spikecodec.metrics import clean_accuracy
+from spikecodec.core import Rng, derive_seed
+from spikecodec.evaluation import encode_dataset, evaluate_scheme, fit_variant, mean_afr
+from spikecodec.metrics import clean_accuracy, robustness_sweep
 from spikecodec.errors import ConfigError, ShapeError
 
 
@@ -197,6 +197,36 @@ class TestRobustnessSweep:
         assert robustness_sweep(*args, seed=5) == robustness_sweep(
             *args, seed=5, baseline_accuracy=clean_accuracy(net, dataset))
 
+    def test_evaluation_drops_match_a_sweep_from_a_clean_pass(self):
+        from spikecodec import TrainConfig
+
+        # a setup whose drops are not all zero and whose best epoch (7 of
+        # 10) scores above the last, so only the restored weights match
+        ds = synth_dataset(3, 8, seed=1, seconds=1.0)
+        train_ds, test_ds = ds.split_leave_one_user_out(sorted(set(ds.users))[0])
+        config = EncodingConfig(Scheme.TTFS_LOG, steps_per_sample=10, seed=3)
+        train_cfg = TrainConfig(epochs=10, learning_rate=5e-3, batch_size=4, seed=1)
+        p_list = (0.05, 0.2, 0.4)
+        row = evaluate_scheme("ttfs-log", config, train_ds, test_ds, train_cfg,
+                              hidden=(16,), p_list=p_list, noise_seeds=2,
+                              noise_seed_base=7)
+
+        _, encoded_test, result = fit_variant(config, train_ds, test_ds, train_cfg,
+                                              5, track_train_accuracy=False,
+                                              hidden=(16,))
+        baseline = clean_accuracy(result.net, encoded_test)
+        drop_sums = np.zeros(len(p_list))
+        for s in range(2):
+            rows = robustness_sweep(result.net, encoded_test, p_list,
+                                    NoiseMode.SIGNED_PERTURB,
+                                    seed=derive_seed(7, s),
+                                    baseline_accuracy=baseline)
+            drop_sums += [r.accuracy_drop for r in rows]
+        assert result.history[-1].test_accuracy != baseline
+        assert row.drops == {p: float(d / 2) for p, d in zip(p_list, drop_sums)}
+        assert any(row.drops.values())
+        assert row.accuracy == baseline
+
     def test_evaluation_runs_one_clean_pass_for_all_seeds(self, monkeypatch):
         from spikecodec import TrainConfig, snn
 
@@ -213,8 +243,9 @@ class TestRobustnessSweep:
         evaluate_scheme("binary6", EncodingConfig(Scheme.BINARY, n_bits=6),
                         train_ds, test_ds, TrainConfig(epochs=1, batch_size=8),
                         hidden=(8,), noise_seeds=3)
-        # one clean pass, then 3 seeds x 3 probabilities
-        assert len(calls) == 1 + 3 * 3
+        # 3 seeds x 3 probabilities and no clean pass: the best epoch's test
+        # accuracy from training is the baseline
+        assert len(calls) == 3 * 3
 
 
 class TestNoiseModeDefaults:

@@ -263,6 +263,42 @@ class TestTraining:
         assert result.best_epoch == int(np.argmax(accs))
         assert result.best_test_accuracy == max(accs)
 
+    def test_train_accuracy_tracking_changes_nothing_else(self):
+        data = small_task()
+        runs = []
+        for track in (True, False):
+            net = CubaNetwork((7, 16, 8, 3), dropout_p=0.1, seed=2)
+            cfg = TrainConfig(epochs=4, learning_rate=2e-3, batch_size=4, seed=4)
+            runs.append(train(net, data[:8], cfg, test_set=data[8:],
+                              track_train_accuracy=track))
+        on, off = runs
+        assert [w.tobytes() for w in on.net.weights] == [
+            w.tobytes() for w in off.net.weights]
+        assert on.best_epoch == off.best_epoch
+        assert [(h.loss, h.test_accuracy) for h in on.history] == [
+            (h.loss, h.test_accuracy) for h in off.history]
+        assert all(isinstance(h.train_accuracy, float) for h in on.history)
+        assert all(h.train_accuracy is None for h in off.history)
+
+    @pytest.mark.parametrize("track", (True, False))
+    def test_without_a_test_set_one_accuracy_pass_per_epoch(self, track,
+                                                             monkeypatch):
+        calls = []
+        original = snn.output_rates
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(snn, "output_rates", counted)
+        data = small_task()
+        net = CubaNetwork((7, 16, 8, 3), dropout_p=0.1, seed=2)
+        cfg = TrainConfig(epochs=3, learning_rate=2e-3, batch_size=4, seed=4)
+        result = train(net, data, cfg, track_train_accuracy=track)
+        assert calls == [len(data)] * 3
+        for h in result.history:
+            assert h.train_accuracy == (h.test_accuracy if track else None)
+
     def test_mixed_shapes_rejected(self):
         a = SpikeTensor(np.zeros((1, 7, 10), dtype=np.int8), 1.0)
         b = SpikeTensor(np.zeros((1, 7, 20), dtype=np.int8), 1.0)
