@@ -20,12 +20,15 @@ from . import __version__
 from .core import EncodingConfig, derive_seed
 from .dataio import (
     CsvSchema,
+    NormStats,
     WindowedDataset,
+    atomic_write,
     load_csv,
     normalize,
     read_spikes,
     synth_dataset,
     window,
+    write_json,
     write_spikes,
 )
 from .errors import (
@@ -85,8 +88,12 @@ def _parse_thresholds(text):
         raise ConfigError(f"bad --thresholds value {text!r}") from exc
 
 
-def _load_dataset(args) -> WindowedDataset:
-    """Windows from a CSV path, or a synthetic set when INPUT is "synth"."""
+def _load_dataset(args, split: bool = False) -> WindowedDataset:
+    """Windows from a CSV path, or a synthetic set when INPUT is "synth".
+
+    A CSV's min-max statistics are fitted on every user (encode) or, with
+    split, on every user but the held-out one, whose values are clamped.
+    """
     if args.input == "synth":
         return synth_dataset(
             n_classes=args.classes,
@@ -98,9 +105,17 @@ def _load_dataset(args) -> WindowedDataset:
         )
     schema = CsvSchema(sample_rate_hz=args.sample_rate)
     records = load_csv(args.input, schema)
-    records, _ = normalize(records)
-    return window(records, schema.sample_rate_hz, seconds=args.duration,
-                  stride_seconds=args.stride, labels=schema.labels)
+
+    def cut(recs):
+        return window(recs, schema.sample_rate_hz, seconds=args.duration,
+                      stride_seconds=args.stride, labels=schema.labels)
+
+    stats = None
+    if split and records:  # raw windows: only their users are read
+        held = _holdout_user(cut(records), args.holdout_user)
+        stats = NormStats.fit([r for r in records if r.user != held] or records)
+    records, _ = normalize(records, stats)
+    return cut(records)
 
 
 def _dataset_args(sub):
@@ -152,11 +167,13 @@ def _config_from_args(args, name: str) -> EncodingConfig:
                           seed=args.seed)
 
 
+def _holdout_user(dataset: WindowedDataset, holdout_user):
+    """holdout_user, or the dataset's first user when it is None."""
+    return min(dataset.users, default=None) if holdout_user is None else holdout_user
+
+
 def _split(dataset: WindowedDataset, holdout_user):
-    users = sorted(set(dataset.users))
-    if holdout_user is None:
-        holdout_user = users[0]
-    return dataset.split_leave_one_user_out(holdout_user)
+    return dataset.split_leave_one_user_out(_holdout_user(dataset, holdout_user))
 
 
 def _resolved_config(args) -> dict:
@@ -168,13 +185,6 @@ def _json_safe(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
-
-
-def _atomic_text(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def cmd_encode(args) -> int:
@@ -199,7 +209,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    dataset = _load_dataset(args)
+    dataset = _load_dataset(args, split=True)
     if len(dataset) == 0:
         raise EmptyDatasetError("no windows to evaluate")
     train_ds, test_ds = _split(dataset, args.holdout_user)
@@ -228,8 +238,7 @@ def cmd_evaluate(args) -> int:
                 {**r.to_dict(), "snr_db": _json_safe(r.snr_db)} for r in rows
             ],
         }
-        _atomic_text(os.path.join(args.out, "report.json"),
-                     json.dumps(report, indent=2, sort_keys=True) + "\n")
+        write_json(os.path.join(args.out, "report.json"), report)
     if args.report in ("csv", "both"):
         header = ["scheme", "tensor_shape", "time_step_ms", "afr_pct", "snr_db",
                   "accuracy"]
@@ -248,12 +257,13 @@ def cmd_evaluate(args) -> int:
             cells += [f"{r.drops[p]:.6f}" for p in DEFAULT_P_LIST]
             cells += [r.dynamic_energy, r.execution_time, version]
             lines.append(",".join(cells))
-        _atomic_text(os.path.join(args.out, "report.csv"), "\n".join(lines) + "\n")
+        atomic_write(os.path.join(args.out, "report.csv"),
+                     ("\n".join(lines) + "\n").encode())
     return 0
 
 
 def cmd_train(args) -> int:
-    dataset = _load_dataset(args)
+    dataset = _load_dataset(args, split=True)
     if len(dataset) == 0:
         raise EmptyDatasetError("no windows to train on")
     train_ds, test_ds = _split(dataset, args.holdout_user)
@@ -278,7 +288,7 @@ def cmd_train(args) -> int:
         f"{h.epoch},{h.loss:.8f},{h.train_accuracy:.6f},{h.test_accuracy:.6f}"
         for h in result.history
     ]
-    _atomic_text(os.path.join(args.out, "history.csv"), "\n".join(lines) + "\n")
+    atomic_write(os.path.join(args.out, "history.csv"), ("\n".join(lines) + "\n").encode())
     print(f"best epoch {result.best_epoch}: "
           f"test accuracy {result.best_test_accuracy:.3f} -> {ckpt}")
     return 0

@@ -2,13 +2,15 @@
 
 All containers are frozen after construction (their numpy buffers are marked
 read-only), so they can be shared freely across threads.  Randomness always
-flows through :class:`Rng`, which wraps a counter-based PCG64 stream and
-supports deterministic child derivation for parallel workers.
+flows through :class:`Rng`, which wraps a counter-based PCG64 stream;
+parallel workers seed their own streams with :func:`derive_seed`.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -197,6 +199,15 @@ class EncodingConfig:
     def __post_init__(self):
         if isinstance(self.scheme, str):
             object.__setattr__(self, "scheme", Scheme.from_string(self.scheme))
+        for name in ("steps_per_sample", "n_bits", "interp_factor", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("normal_mu", "normal_var", "beta_shape"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.steps_per_sample < 1:
             raise ConfigError(f"steps_per_sample must be >= 1, got {self.steps_per_sample}")
         if not 1 <= self.n_bits <= 16:
@@ -256,7 +267,7 @@ def _check_bank(bank):
     if len(bank) == 0:
         raise ThresholdOrderError("threshold bank is empty")
     arr = np.asarray(bank, dtype=np.float64)
-    if (arr <= 0).any():
+    if not (arr > 0).all():  # NaN fails this too
         raise ThresholdOrderError(f"thresholds must be positive, got {bank}")
     if (np.diff(arr) <= 0).any():
         raise ThresholdOrderError(f"thresholds must be strictly increasing, got {bank}")
@@ -294,8 +305,8 @@ class Rng:
     """Seeded uniform stream; equal seeds give bitwise-equal streams.
 
     Wraps numpy's PCG64, whose stream for a fixed seed is stable across runs
-    and platforms.  An Rng instance is single-owner: parallel workers derive
-    independent children with :meth:`child` instead of sharing one stream.
+    and platforms.  An Rng instance is single-owner: parallel workers build
+    their own, Rng(derive_seed(seed, index)), instead of sharing one stream.
     """
 
     def __init__(self, seed: int):
@@ -316,10 +327,6 @@ class Rng:
 
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size)
-
-    def child(self, index: int) -> "Rng":
-        """Derive an independent child stream; seed = hash(parent seed, index)."""
-        return Rng(derive_seed(self.seed, index))
 
     def __repr__(self):
         return f"Rng(seed={self.seed})"

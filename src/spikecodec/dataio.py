@@ -128,6 +128,12 @@ class NormStats:
     minimum: np.ndarray
     maximum: np.ndarray
 
+    @classmethod
+    def fit(cls, records) -> "NormStats":
+        """Per-channel minimum and maximum over the rows of records."""
+        stacked = np.concatenate([r.values for r in records], axis=0)
+        return cls(stacked.min(axis=0), stacked.max(axis=0))
+
 
 def normalize(records, stats: NormStats = None):
     """Min-max normalize session records to [0, 1].
@@ -140,8 +146,7 @@ def normalize(records, stats: NormStats = None):
     if not records:
         return [], stats
     if stats is None:
-        stacked = np.concatenate([r.values for r in records], axis=0)
-        stats = NormStats(stacked.min(axis=0), stacked.max(axis=0))
+        stats = NormStats.fit(records)
     span = stats.maximum - stats.minimum
     degenerate = span == 0
     if degenerate.any():
@@ -308,11 +313,20 @@ def synth_dataset(n_classes: int, samples_per_class: int, seed: int = 0,
     return WindowedDataset(signals, np.asarray(labels, dtype=np.int64), users, names)
 
 
-def _atomic_write(path: str, payload: bytes):
+def atomic_write(path, payload: bytes):
+    """Write payload to a sibling .tmp file, then rename it onto path: a
+    reader sees the old file or the new one, never part of one."""
+    path = os.fspath(path)
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(payload)
     os.replace(tmp, path)
+
+
+def write_json(path, obj):
+    """The one JSON file layout (sidecars and reports): indent 2, sorted
+    keys, a final newline, written atomically."""
+    atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def write_spikes(tensor: SpikeTensor, metadata: dict, path):
@@ -326,20 +340,15 @@ def write_spikes(tensor: SpikeTensor, metadata: dict, path):
     tensor's window_steps.
     """
     path = os.fspath(path)
-    header = SPIKE_MAGIC
-    header += struct.pack("<H", SPIKE_VERSION)
-    header += struct.pack("<B", 3)
-    for dim in tensor.data.shape:
-        header += struct.pack("<I", dim)
-    header += struct.pack("<d", tensor.time_step_ms)
-    _atomic_write(path, header + tensor.data.tobytes())
+    header = struct.pack("<4sHB3Id", SPIKE_MAGIC, SPIKE_VERSION, 3,
+                         *tensor.data.shape, tensor.time_step_ms)
+    atomic_write(path, header + tensor.data.tobytes())
 
     sidecar = dict(metadata or {})
     if isinstance(sidecar.get("encoding"), EncodingConfig):
         sidecar["encoding"] = sidecar["encoding"].to_dict()
     sidecar["window_steps"] = tensor.window_steps
-    _atomic_write(_sidecar_path(path),
-                  (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode())
+    write_json(_sidecar_path(path), sidecar)
 
 
 def _sidecar_path(path: str) -> str:
@@ -376,6 +385,22 @@ def read_sidecar(path: str) -> dict:
     return sidecar
 
 
+def read_container(path, magic: bytes, version: int):
+    """Read a file opening with the SPK1/CUB1 prefix (magic, u16 version,
+    u8 count) and check it in that order.  Returns (blob, count, offset
+    just past the count)."""
+    path = os.fspath(path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != magic:
+        raise BadMagicError(f"{path}: expected {magic!r}, got {blob[:4]!r}")
+    (found,), offset = unpack_header("<H", blob, 4, path)
+    if found != version:
+        raise VersionMismatchError(f"{path}: version {found} unsupported")
+    (count,), offset = unpack_header("<B", blob, offset, path)
+    return blob, count, offset
+
+
 def read_spikes(path):
     """Read an SPK1 file (and its sidecar if present).
 
@@ -384,14 +409,7 @@ def read_spikes(path):
     malformed files, including well-formed fields holding invalid values.
     """
     path = os.fspath(path)
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != SPIKE_MAGIC:
-        raise BadMagicError(f"{path}: expected {SPIKE_MAGIC!r}, got {blob[:4]!r}")
-    (version,), offset = unpack_header("<H", blob, 4, path)
-    if version != SPIKE_VERSION:
-        raise VersionMismatchError(f"{path}: version {version} unsupported")
-    (ndim,), offset = unpack_header("<B", blob, offset, path)
+    blob, ndim, offset = read_container(path, SPIKE_MAGIC, SPIKE_VERSION)
     if ndim != 3:
         raise ShapeError(f"{path}: {ndim} dimensions, expected 3 "
                          "(trains, channels, timesteps)")

@@ -18,10 +18,9 @@ from .core import (
     SpikeTensor,
     resolve_threshold_banks,
 )
-from .encoders import RateMapping
+from .encoders import RateMapping, _check_unit_interval
 from .errors import (
     ConfigError,
-    DomainError,
     InconsistentSpikesError,
     MultipleSpikesInWindowError,
     ShapeError,
@@ -39,11 +38,7 @@ def rate_ppf(p, mapping: RateMapping):
     branch clamps its argument to [1e-6, 1 - 1e-6] and its output to [0, 1].
     """
     arr = np.asarray(p, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise DomainError("probability must be finite")
-    if (arr < 0.0).any() or (arr > 1.0).any():
-        bad = arr[(arr < 0.0) | (arr > 1.0)].flat[0]
-        raise DomainError(f"probability must lie in [0, 1], got {bad}")
+    _check_unit_interval(arr, "probability")
     if mapping.kind is Scheme.RATE_UNIFORM:
         out = arr.copy()
     elif mapping.kind is Scheme.RATE_NORMAL:
@@ -128,19 +123,15 @@ def decode_binary(tensor: SpikeTensor) -> Signal:
     return Signal(values, sample_rate_hz=1000.0 / tensor.time_step_ms)
 
 
-def decode_delta(tensor: SpikeTensor, thresholds=None, initial_value=0.0,
-                 step_rule: str = "threshold") -> Signal:
+def decode_delta(tensor: SpikeTensor, thresholds=None, initial_value=0.0) -> Signal:
     """Integrate threshold-sized steps from an initial value.
 
     At each timestep the estimated change is the signed threshold of the
     largest-index train that fired (0 when silent); the running value is
-    clamped to [0, 1].  step_rule="midpoint" instead uses the midpoint
-    between the largest fired threshold and the next level up.
-    The returned signal has timesteps + 1 samples, starting at the initial
-    value, at the tensor's (interpolated) sample rate.
+    clamped to [0, 1].  The returned signal has timesteps + 1 samples,
+    starting at the initial value, at the tensor's (interpolated) sample
+    rate.
     """
-    if step_rule not in ("threshold", "midpoint"):
-        raise ConfigError(f"unknown step_rule {step_rule!r}")
     banks = resolve_threshold_banks(thresholds, tensor.n_channels)
     levels = banks.shape[1]
     if tensor.n_trains != levels:
@@ -161,12 +152,7 @@ def decode_delta(tensor: SpikeTensor, thresholds=None, initial_value=0.0,
     # index of the largest fired level per (channel, timestep)
     top = levels - 1 - np.argmax(fired[::-1], axis=0)
 
-    if step_rule == "threshold":
-        magnitude = np.take_along_axis(banks, top, axis=1)
-    else:
-        upper = np.concatenate([banks[:, 1:], banks[:, -1:]], axis=1)
-        mids = 0.5 * (banks + upper)
-        magnitude = np.take_along_axis(mids, top, axis=1)
+    magnitude = np.take_along_axis(banks, top, axis=1)
     sign = has_pos.astype(np.float64) - has_neg.astype(np.float64)
     deltas = np.where(any_fired, sign * magnitude, 0.0)
 

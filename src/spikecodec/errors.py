@@ -72,7 +72,9 @@ class EmptyDatasetError(SpikeCodecError):
 
 
 class ParseError(SpikeCodecError):
-    """A CSV row could not be parsed."""
+    """A file's contents could not be parsed or hold invalid values: a CSV
+    header, cell or label, a JSON sidecar (not an object, or a field of the
+    wrong type or value), or an SPK1/CUB1 field such as a zero width."""
 
 
 class MissingColumnError(ParseError):

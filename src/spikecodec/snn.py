@@ -22,7 +22,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import json
 import math
 import os
 import platform
@@ -30,21 +29,19 @@ import shutil
 import struct
 import subprocess
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import Rng, SpikeTensor
-from .dataio import read_sidecar, unpack_header
+from .dataio import atomic_write, read_container, read_sidecar, unpack_header, write_json
 from .errors import (
-    BadMagicError,
     ConfigError,
     DivergenceError,
     EmptyDatasetError,
     ParseError,
     ShapeError,
     TruncatedPayloadError,
-    VersionMismatchError,
 )
 
 CHECKPOINT_MAGIC = b"CUB1"
@@ -708,21 +705,13 @@ def save_checkpoint(net: CubaNetwork, path, train_config: TrainConfig = None,
     little-endian f32 row-major.
     """
     path = os.fspath(path)
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<H", CHECKPOINT_VERSION)
-    blob += struct.pack("<B", net.n_layers)
-    for size in net.layer_sizes:
-        blob += struct.pack("<I", size)
-    blob += struct.pack("<d", net.dropout_p)
-    for p in net.params:
-        blob += struct.pack("<ddd", p.threshold, p.current_decay, p.voltage_decay)
-    for w in net.weights:
-        blob += np.ascontiguousarray(w, dtype="<f4").tobytes()
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(bytes(blob))
-    os.replace(tmp, path)
+    n = net.n_layers
+    header = struct.pack(
+        f"<4sHB{n + 1}Id{3 * n}d", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, n,
+        *net.layer_sizes, net.dropout_p,
+        *(c for p in net.params for c in (p.threshold, p.current_decay, p.voltage_decay)))
+    atomic_write(path, header + b"".join(
+        np.ascontiguousarray(w, dtype="<f4").tobytes() for w in net.weights))
 
     sidecar = {
         "format": "cuba-checkpoint",
@@ -730,24 +719,10 @@ def save_checkpoint(net: CubaNetwork, path, train_config: TrainConfig = None,
         "layer_sizes": list(net.layer_sizes),
     }
     if train_config is not None:
-        sidecar["train_config"] = {
-            "epochs": train_config.epochs,
-            "learning_rate": train_config.learning_rate,
-            "batch_size": train_config.batch_size,
-            "beta1": train_config.beta1,
-            "beta2": train_config.beta2,
-            "eps": train_config.eps,
-            "surrogate_slope": train_config.surrogate_slope,
-            "soft_mode": train_config.soft_mode,
-            "seed": train_config.seed,
-        }
+        sidecar["train_config"] = asdict(train_config)
     if sidecar_extra:
         sidecar.update(sidecar_extra)
-    tmp = path + ".json.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path + ".json")
+    write_json(path + ".json", sidecar)
 
 
 def load_checkpoint(path):
@@ -758,14 +733,7 @@ def load_checkpoint(path):
     threshold) raise ParseError, like a sidecar that is not a JSON object.
     """
     path = os.fspath(path)
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"{path}: expected {CHECKPOINT_MAGIC!r}, got {blob[:4]!r}")
-    (version,), offset = unpack_header("<H", blob, 4, path)
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatchError(f"{path}: version {version} unsupported")
-    (n_layers,), offset = unpack_header("<B", blob, offset, path)
+    blob, n_layers, offset = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     if n_layers == 0:
         raise ShapeError(f"{path}: checkpoint has no layers")
     sizes, offset = unpack_header(f"<{n_layers + 1}I", blob, offset, path)

@@ -330,3 +330,79 @@ class TestMalformedDataFiles:
             json.dumps({"encoding": {"scheme": "ttfs-linear "}}))
         assert self.perturb(path, tmp_path) == 3
         assert "unknown scheme" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme, field, value", (
+        ("ttfs-linear", "steps_per_sample", float("nan")),
+        ("binary", "n_bits", 6.5),
+        ("delta-mod", "interp_factor", float("inf")),
+        ("rate-uniform", "seed", 1.5),
+        ("rate-normal", "normal_var", float("nan")),
+        ("rate-normal", "normal_mu", float("nan")),
+    ))
+    def test_spike_sidecar_encoding_field_of_wrong_type(self, scheme, field, value,
+                                                        spikes_dir, tmp_path, capsys):
+        path = self.spike_copy(spikes_dir, tmp_path)
+        (tmp_path / "w.json").write_text(
+            json.dumps({"encoding": {"scheme": scheme, field: value}}))
+        assert self.perturb(path, tmp_path) == 3
+        assert field in capsys.readouterr().err
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestCsvNormalization:
+    """train and evaluate fit the min-max statistics on the training users
+    only, so the held-out user's values cannot move the training windows."""
+
+    HEADER = "acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,hbc,label,user"
+
+    def write_csv(self, path, scaled_user):
+        rows = []
+        for user in ("alice", "bob"):
+            scale = 5.0 if user == scaled_user else 1.0
+            for shift, label in enumerate(("Squat", "Walking")):
+                for i in range(40):  # two 1 s windows at 20 Hz
+                    cells = [f"{scale * ((i * (ch + 2) + 3 * shift) % 11) / 10:.3f}"
+                             for ch in range(7)]
+                    rows.append(",".join(cells + [label, user]))
+        path.write_text(self.HEADER + "\n" + "\n".join(rows) + "\n")
+        return path
+
+    @pytest.mark.parametrize("held_out, holdout_args", (
+        ("bob", ["--holdout-user", "bob"]),
+        ("alice", []),  # the default holds out the first user
+    ))
+    def test_train_windows_ignore_the_held_out_user(self, held_out, holdout_args,
+                                                    tmp_path):
+        fingerprints = []
+        for scaled in (None, held_out):
+            csv_path = self.write_csv(tmp_path / f"{scaled}.csv", scaled)
+            out = tmp_path / f"model-{scaled}"
+            assert run(["train", csv_path, "--duration", "1.0", *holdout_args,
+                        "--scheme", "ttfs-linear", "--steps", "5", "--epochs", "1",
+                        "--batch", "4", "--out", out]) == 0
+            sidecar = json.loads((out / "checkpoint.cuba.json").read_text())
+            fingerprints.append(sidecar["dataset_fingerprint"])
+        assert fingerprints[0] == fingerprints[1]
+
+    def test_evaluate_windows_ignore_the_held_out_user(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(name, config, train_ds, test_ds, *args, **kwargs):
+            seen.append((np.stack([s.data for s in train_ds.signals]),
+                         np.stack([s.data for s in test_ds.signals])))
+            raise _Captured
+
+        monkeypatch.setattr(cli, "evaluate_scheme", capture)
+        for scaled in (None, "bob"):
+            csv_path = self.write_csv(tmp_path / f"{scaled}.csv", scaled)
+            with pytest.raises(_Captured):
+                run(["evaluate", csv_path, "--duration", "1.0", "--holdout-user", "bob",
+                     "--schemes", "ttfs-linear", "--out", tmp_path / "rep"])
+        (train_a, test_a), (train_b, test_b) = seen
+        assert np.array_equal(train_a, train_b)
+        # the scaled held-out rows are clamped into [0, 1], not refitted
+        assert test_b.min() >= 0.0 and test_b.max() == 1.0
+        assert not np.array_equal(test_a, test_b)

@@ -114,6 +114,8 @@ class TestEncodingConfig:
             EncodingConfig(Scheme.DELTA_MOD, thresholds=(0.2, 0.1))
         with pytest.raises(ThresholdOrderError):
             EncodingConfig(Scheme.DELTA_MOD, thresholds=(0.0, 0.1))
+        with pytest.raises(ThresholdOrderError):
+            EncodingConfig(Scheme.DELTA_MOD, thresholds=(0.1, float("nan")))
 
     def test_beta_shape_bounds(self):
         with pytest.raises(ConfigError):
@@ -139,6 +141,29 @@ class TestEncodingConfig:
     def test_from_dict_rejects_what_to_dict_cannot_write(self, d):
         with pytest.raises(ConfigError):
             EncodingConfig.from_dict(d)
+
+    @pytest.mark.parametrize("scheme, field, value", (
+        ("ttfs-linear", "steps_per_sample", float("nan")),
+        ("ttfs-linear", "steps_per_sample", True),
+        ("binary", "n_bits", 6.5),
+        ("delta-mod", "interp_factor", float("inf")),
+        ("rate-uniform", "seed", 1.5),
+        ("rate-normal", "normal_var", float("nan")),
+        ("rate-normal", "normal_mu", float("nan")),
+        ("rate-normal", "normal_mu", float("-inf")),
+        ("rate-beta", "beta_shape", float("nan")),
+        ("rate-beta", "beta_shape", "0.5"),
+    ))
+    def test_non_integer_or_non_finite_field_rejected(self, scheme, field, value):
+        with pytest.raises(ConfigError, match=field):
+            EncodingConfig(scheme, **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            EncodingConfig.from_dict({"scheme": scheme, field: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        cfg = EncodingConfig(Scheme.BINARY, n_bits=np.int64(10), seed=np.uint32(3))
+        assert type(cfg.n_bits) is int and cfg.n_bits == 10
+        assert type(cfg.seed) is int and cfg.seed == 3
 
 
 class TestThresholdBanks:
@@ -166,13 +191,11 @@ class TestRng:
     def test_different_seeds_differ(self):
         assert not np.array_equal(Rng(1).uniform(100), Rng(2).uniform(100))
 
-    def test_child_streams_are_deterministic_and_distinct(self):
-        parent = Rng(7)
-        c0 = parent.child(0)
-        c1 = parent.child(1)
-        assert c0.seed == Rng(7).child(0).seed
-        assert c0.seed != c1.seed
-        assert not np.array_equal(c0.uniform(100), c1.uniform(100))
+    def test_derived_streams_are_deterministic_and_distinct(self):
+        s0, again, s1 = (Rng(derive_seed(7, i)).uniform(100) for i in (0, 0, 1))
+        assert np.array_equal(s0, again)
+        assert derive_seed(7, 0) != derive_seed(7, 1)
+        assert not np.array_equal(s0, s1)
 
     def test_derive_seed_is_stable(self):
         assert derive_seed(3, 1, 4) == derive_seed(3, 1, 4)

@@ -1,6 +1,7 @@
 """CSV ingestion, normalization, windowing, interpolation, synthetic data,
 and the SPK1 spike-file format."""
 
+import hashlib
 import json
 import struct
 
@@ -23,6 +24,7 @@ from spikecodec import (
     write_spikes,
 )
 from spikecodec.dataio import DEFAULT_LABELS, SessionRecord
+from spikecodec.snn import CubaNetwork, CubaParams, TrainConfig, save_checkpoint
 from spikecodec.errors import (
     BadMagicError,
     DegenerateChannelWarning,
@@ -284,3 +286,36 @@ class TestSpikeFiles:
         assert len(DEFAULT_LABELS) == 12
         assert len(set(DEFAULT_LABELS)) == 12
         assert CsvSchema().labels == DEFAULT_LABELS
+
+
+class TestFileBytes:
+    """The bytes of both containers and both sidecars, pinned by sha256."""
+
+    PINNED = {
+        "w.spk": "44eecd531f69e199e11fbd1378b6fc3f0819812ac75b8d46b5f2f748969d613f",
+        "w.json": "9eb2c6c6fec51fbdfc6e7d75b28a6f83a6955a9e2ffe058936d6708de10ac895",
+        "m.cuba": "69fb7c2c0c8391237a4363e85848fccddef907108dd8f9b0464b5dc53c9c9449",
+        "m.cuba.json": "7c6a56318b176935d45a7e29919ba0151e4820d04d722d0eff4f8d087a0c2264",
+    }
+
+    def test_spike_file_checkpoint_and_sidecars_are_pinned(self, tmp_path):
+        data = (np.arange(2 * 3 * 8).reshape(2, 3, 8) % 3 - 1).astype(np.int8)
+        config = EncodingConfig(Scheme.DELTA_MOD, thresholds=(0.1, 0.2),
+                                interp_factor=4, seed=9)
+        write_spikes(SpikeTensor(data, time_step_ms=2.5, window_steps=4),
+                     {"encoding": config, "label": 1, "user": "alice"},
+                     tmp_path / "w.spk")
+        net = CubaNetwork(
+            (3, 4, 2), dropout_p=0.1,
+            params=[CubaParams(1.0, 0.5, 0.3), CubaParams(0.75, 0.25, 0.125)],
+            weights=[np.linspace(-1.0, 1.0, 12).reshape(4, 3),
+                     np.linspace(0.5, -0.5, 8).reshape(2, 4)])
+        save_checkpoint(net, tmp_path / "m.cuba",
+                        train_config=TrainConfig(epochs=3, learning_rate=2e-3,
+                                                 batch_size=8, seed=4),
+                        sidecar_extra={"label_names": ["a", "b"], "best_epoch": 2})
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir()}
+        assert not list(tmp_path.glob("*.tmp"))
+        assert digests == self.PINNED
+

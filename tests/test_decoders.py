@@ -219,12 +219,9 @@ class TestDecodeDelta:
         recon = decode_delta(tensor, initial_value=ramp[:, 0])
         assert (np.diff(recon.data, axis=1) >= 0).all()
 
-    def test_midpoint_rule_changes_step_size(self):
+    def test_step_is_the_fired_threshold(self):
         data = np.zeros((5, 1, 1), dtype=np.int8)
         data[0, 0, 0] = 1
         base = decode_delta(SpikeTensor(data, 10.0, 5), thresholds=IMU_THRESHOLDS,
                             initial_value=0.5)
-        mid = decode_delta(SpikeTensor(data, 10.0, 5), thresholds=IMU_THRESHOLDS,
-                           initial_value=0.5, step_rule="midpoint")
         assert base.data[0, -1] == pytest.approx(0.5004, abs=1e-12)
-        assert mid.data[0, -1] == pytest.approx(0.5006, abs=1e-12)
