@@ -9,23 +9,8 @@ moves.
     python demos/train_and_perturb.py
 """
 
-from spikecodec import (
-    CubaNetwork,
-    Rng,
-    TrainConfig,
-    derive_seed,
-    encode,
-    noise_mode_for,
-    robustness_sweep,
-    synth_dataset,
-    train,
-)
-from spikecodec.evaluation import variant_config
-
-
-def encode_split(split, config):
-    return [(encode(sig, config, Rng(derive_seed(config.seed, i))), int(label))
-            for i, (sig, label) in enumerate(split)]
+from spikecodec import TrainConfig, noise_mode_for, robustness_sweep, synth_dataset
+from spikecodec.evaluation import fit_variant, variant_config
 
 
 def main():
@@ -35,17 +20,14 @@ def main():
 
     for name in ("ttfs-linear", "delta-mod"):
         config = variant_config(name, steps_per_sample=20, seed=0)
-        encoded_train = encode_split(train_ds, config)
-        encoded_test = encode_split(test_ds, config)
-        features = encoded_train[0][0].n_trains * encoded_train[0][0].n_channels
-
-        net = CubaNetwork((features, 256, 64, 3), dropout_p=0.1, seed=5)
         cfg = TrainConfig(epochs=20, learning_rate=2e-3, batch_size=16, seed=3)
-        result = train(net, encoded_train, cfg, test_set=encoded_test)
+        _, encoded_test, result = fit_variant(config, train_ds, test_ds, cfg,
+                                              net_seed=5, track_train_accuracy=False)
         print(f"{name}: clean test accuracy {result.best_test_accuracy:.3f}")
 
         rows = robustness_sweep(result.net, encoded_test, (0.001, 0.01, 0.1),
-                                noise_mode_for(config.scheme), seed=1)
+                                noise_mode_for(config.scheme), seed=1,
+                                baseline_accuracy=result.best_test_accuracy)
         for row in rows:
             print(f"  p={row.error_probability:<6g} accuracy {row.accuracy:.3f} "
                   f"(drop {row.accuracy_drop:+.3f})")

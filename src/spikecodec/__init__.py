@@ -51,7 +51,6 @@ from .snn import (
     CubaParams,
     ForwardResult,
     GradCheckResult,
-    LossSpec,
     TrainConfig,
     TrainResult,
     classify_batch,
@@ -61,7 +60,6 @@ from .snn import (
     load_checkpoint,
     output_rates,
     save_checkpoint,
-    spike_rate_loss,
     train,
 )
 from .dataio import (

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import subprocess
 import sys
@@ -77,6 +76,20 @@ def version_string() -> str:
     except OSError:
         pass
     return f"spikecodec-{__version__}"
+
+
+class _VersionAction(argparse.Action):
+    """--version: print version_string() and exit; git runs only when the
+    flag is given, not each time a parser is built."""
+
+    def __init__(self, option_strings, dest,
+                 help="show program's version number and exit"):
+        super().__init__(option_strings, dest, nargs=0, help=help,
+                         default=argparse.SUPPRESS)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(version_string())
+        parser.exit()
 
 
 def _parse_thresholds(text):
@@ -181,12 +194,6 @@ def _resolved_config(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def cmd_encode(args) -> int:
     dataset = _load_dataset(args)
     if len(dataset) == 0:
@@ -234,9 +241,7 @@ def cmd_evaluate(args) -> int:
         report = {
             "version": version,
             "config": _resolved_config(args),
-            "rows": [
-                {**r.to_dict(), "snr_db": _json_safe(r.snr_db)} for r in rows
-            ],
+            "rows": [r.to_dict() for r in rows],
         }
         write_json(os.path.join(args.out, "report.json"), report)
     if args.report in ("csv", "both"):
@@ -361,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Encode sensor signals into spike trains, evaluate the "
                     "schemes, and train a spiking classifier.",
     )
-    parser.add_argument("--version", action="version", version=version_string())
+    parser.add_argument("--version", action=_VersionAction)
     subs = parser.add_subparsers(dest="command", required=True)
 
     enc = subs.add_parser("encode", help="encode windows into SPK1 spike files")

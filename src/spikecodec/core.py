@@ -62,7 +62,6 @@ class Signal:
 
     data: np.ndarray
     sample_rate_hz: float
-    channel_names: tuple = ()
 
     def __post_init__(self):
         try:
@@ -81,14 +80,6 @@ class Signal:
         object.__setattr__(self, "data", arr)
         if self.sample_rate_hz <= 0:
             raise ConfigError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        names = tuple(self.channel_names)
-        if not names:
-            names = tuple(f"ch{i}" for i in range(arr.shape[0]))
-        if len(names) != arr.shape[0]:
-            raise ShapeError(
-                f"{len(names)} channel names for {arr.shape[0]} channels"
-            )
-        object.__setattr__(self, "channel_names", names)
 
     @property
     def n_channels(self) -> int:
@@ -97,10 +88,6 @@ class Signal:
     @property
     def n_samples(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
 
 
 def validate_signal(signal: Signal) -> Signal:

@@ -206,6 +206,16 @@ class WindowedDataset:
         return self.subset(train), self.subset(test)
 
 
+def _samples(sample_rate_hz: float, seconds: float, what: str) -> int:
+    """Samples in a span of seconds, rounded; ConfigError unless that is a
+    finite count of at least one."""
+    n = sample_rate_hz * seconds
+    if not (math.isfinite(n) and round(n) >= 1):
+        raise ConfigError(f"{what} of {seconds}s at {sample_rate_hz}Hz "
+                          "covers no whole sample")
+    return int(round(n))
+
+
 def window(records, sample_rate_hz: float, seconds: float = 2.0,
            stride_seconds: float = None, labels=DEFAULT_LABELS) -> WindowedDataset:
     """Cut sessions into fixed-length windows.
@@ -214,15 +224,9 @@ def window(records, sample_rate_hz: float, seconds: float = 2.0,
     runs, a window never straddles a label change.  Stride defaults to the
     window length (no overlap).
     """
-    width = int(round(sample_rate_hz * seconds))
-    if width < 1:
-        raise ConfigError(f"window of {seconds}s at {sample_rate_hz}Hz is empty")
-    if stride_seconds is None:
-        stride = width
-    else:
-        stride = int(round(sample_rate_hz * stride_seconds))
-    if stride < 1:
-        raise ConfigError(f"stride must cover at least one sample, got {stride}")
+    width = _samples(sample_rate_hz, seconds, "window")
+    stride = (width if stride_seconds is None
+              else _samples(sample_rate_hz, stride_seconds, "stride"))
     label_index = {name: i for i, name in enumerate(labels)}
     signals, label_ids, users = [], [], []
     for rec in records:
@@ -247,15 +251,14 @@ def interpolate_linear(signal: Signal, factor: int) -> Signal:
     if factor == 1:
         return signal
     if signal.n_samples < 2:
-        return Signal(signal.data, signal.sample_rate_hz * factor,
-                      signal.channel_names)
+        return Signal(signal.data, signal.sample_rate_hz * factor)
     n = signal.n_samples
     xp = np.arange(n, dtype=np.float64)
     x = np.arange((n - 1) * factor + 1, dtype=np.float64) / factor
     data = np.empty((signal.n_channels, x.size))
     for ch in range(signal.n_channels):
         data[ch] = np.interp(x, xp, signal.data[ch])
-    return Signal(data, signal.sample_rate_hz * factor, signal.channel_names)
+    return Signal(data, signal.sample_rate_hz * factor)
 
 
 def downsample(signal: Signal, factor: int) -> Signal:
@@ -263,8 +266,7 @@ def downsample(signal: Signal, factor: int) -> Signal:
     factor-th sample."""
     if factor < 1:
         raise ConfigError(f"factor must be >= 1, got {factor}")
-    return Signal(signal.data[:, ::factor], signal.sample_rate_hz / factor,
-                  signal.channel_names)
+    return Signal(signal.data[:, ::factor], signal.sample_rate_hz / factor)
 
 
 def synth_dataset(n_classes: int, samples_per_class: int, seed: int = 0,
@@ -284,7 +286,9 @@ def synth_dataset(n_classes: int, samples_per_class: int, seed: int = 0,
     """
     if n_classes < 1 or samples_per_class < 1:
         raise ConfigError("need at least one class and one sample per class")
-    width = int(round(sample_rate_hz * seconds))
+    if n_users < 1:
+        raise ConfigError(f"need at least one user, got {n_users}")
+    width = _samples(sample_rate_hz, seconds, "window")
     rng = Rng(seed)
     t = np.arange(width) / sample_rate_hz
 

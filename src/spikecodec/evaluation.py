@@ -8,6 +8,7 @@ classification accuracy and robustness drops, one row per variant."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable
@@ -33,6 +34,8 @@ from .metrics import NoiseMode, robustness_sweep, snr_db
 from .snn import CubaNetwork, TrainConfig, train
 
 DEFAULT_P_LIST = (0.001, 0.01, 0.1)
+# Hidden layer widths of the classifier fit_variant builds.
+HIDDEN = (256, 64)
 
 
 @dataclass(frozen=True)
@@ -175,12 +178,14 @@ class SchemeEvaluation:
     execution_time: str = "not measured"
 
     def to_dict(self) -> dict:
+        """The row as JSON values; a non-finite SNR (a lossless
+        reconstruction scores +inf) becomes None."""
         return {
             "scheme": self.scheme,
             "tensor_shape": list(self.tensor_shape),
             "time_step_ms": self.time_step_ms,
             "afr_pct": self.afr_pct,
-            "snr_db": self.snr_db,
+            "snr_db": self.snr_db if math.isfinite(self.snr_db) else None,
             "accuracy": self.accuracy,
             "drops": {str(p): d for p, d in self.drops.items()},
             "dynamic_energy": self.dynamic_energy,
@@ -190,13 +195,13 @@ class SchemeEvaluation:
 
 def fit_variant(config: EncodingConfig, train_ds: WindowedDataset,
                 test_ds: WindowedDataset, train_cfg: TrainConfig, net_seed: int,
-                track_train_accuracy: bool, hidden=(256, 64),
-                dropout_p: float = 0.1):
+                track_train_accuracy: bool, hidden=HIDDEN):
     """Encode both splits and train a fresh classifier on them.
 
     The splits are encoded with the child seeds 1 (train) and 2 (test) of
     config.seed; the network is (features, *hidden, classes), its features
-    read off the first training tensor, with weights drawn from net_seed.
+    read off the first training tensor, with weights drawn from net_seed
+    and the default dropout of CubaNetwork.
     Returns (encoded_train, encoded_test, TrainResult).
     """
     if len(train_ds) == 0:
@@ -206,7 +211,7 @@ def fit_variant(config: EncodingConfig, train_ds: WindowedDataset,
     sample = encoded_train[0][0]
     sizes = ((sample.n_trains * sample.n_channels,) + tuple(hidden)
              + (train_ds.n_classes,))
-    net = CubaNetwork(sizes, dropout_p=dropout_p, seed=net_seed)
+    net = CubaNetwork(sizes, seed=net_seed)
     result = train(net, encoded_train, train_cfg, test_set=encoded_test,
                    track_train_accuracy=track_train_accuracy)
     return encoded_train, encoded_test, result
@@ -214,23 +219,24 @@ def fit_variant(config: EncodingConfig, train_ds: WindowedDataset,
 
 def evaluate_scheme(name: str, config: EncodingConfig,
                     train_ds: WindowedDataset, test_ds: WindowedDataset,
-                    train_cfg: TrainConfig, hidden=(256, 64),
-                    dropout_p: float = 0.1, net_seed: int = 5,
+                    train_cfg: TrainConfig, hidden=HIDDEN,
                     p_list=DEFAULT_P_LIST, noise_seeds: int = 1,
                     noise_seed_base: int = 0) -> SchemeEvaluation:
     """Run the full pipeline for one variant.
 
-    Encodes both splits, trains a fresh classifier, measures AFR and SNR on
-    the test split, and averages robustness drops over noise_seeds
-    independent error draws.  The drops are taken from the best epoch's
-    test accuracy, which is the clean accuracy of the restored weights, so
-    no second clean pass runs.
+    Encodes both splits, trains a fresh classifier (network seed 5),
+    measures AFR and SNR on the test split, and averages robustness drops
+    over noise_seeds independent error draws.  The drops are taken from the
+    best epoch's test accuracy, which is the clean accuracy of the restored
+    weights, so no second clean pass runs.
     """
+    if noise_seeds < 1:
+        raise ConfigError(f"noise_seeds must be >= 1, got {noise_seeds}")
     if len(train_ds) == 0 or len(test_ds) == 0:
         raise EmptyDatasetError("evaluation needs non-empty train and test splits")
     encoded_train, encoded_test, result = fit_variant(
-        config, train_ds, test_ds, train_cfg, net_seed,
-        track_train_accuracy=False, hidden=hidden, dropout_p=dropout_p)
+        config, train_ds, test_ds, train_cfg, net_seed=5,
+        track_train_accuracy=False, hidden=hidden)
     snr = reconstruction_snr_db(test_ds, config, encoded=encoded_test)
 
     mode = codec(config.scheme).noise_mode

@@ -103,20 +103,8 @@ class RobustnessRow:
     accuracy_drop: float
 
 
-def clean_accuracy(net, dataset) -> float:
-    """Share of a (SpikeTensor, label) sequence the network classifies
-    correctly without injected errors."""
-    from .snn import classify_batch
-
-    tensors = [t for t, _ in dataset]
-    if not tensors:
-        raise ShapeError("accuracy needs a non-empty dataset")
-    labels = np.asarray([l for _, l in dataset], dtype=np.int64)
-    return float(np.mean(classify_batch(net, tensors) == labels))
-
-
-def robustness_sweep(net, dataset, p_list, mode: NoiseMode,
-                     seed: int = 0, baseline_accuracy: float = None) -> list:
+def robustness_sweep(net, dataset, p_list, mode: NoiseMode, seed: int = 0, *,
+                     baseline_accuracy: float) -> list:
     """Classify a test set under increasing spike-error probabilities.
 
     dataset is a sequence of (SpikeTensor, label) pairs encoded with the
@@ -125,9 +113,7 @@ def robustness_sweep(net, dataset, p_list, mode: NoiseMode,
     seed fixes a single error-position draw whose change masks nest as p
     grows; drops are then directly comparable along the sweep, and the whole
     sweep is reproducible and independent of evaluation order.  Drops are
-    taken from baseline_accuracy, computed with clean_accuracy when not
-    given; pass it to share one clean pass between sweeps over several
-    seeds.
+    taken from baseline_accuracy, the network's clean accuracy on dataset.
     """
     from .snn import classify_batch
 
@@ -136,8 +122,6 @@ def robustness_sweep(net, dataset, p_list, mode: NoiseMode,
     if not tensors:
         raise ShapeError("robustness sweep needs a non-empty dataset")
 
-    if baseline_accuracy is None:
-        baseline_accuracy = clean_accuracy(net, dataset)
     rows = []
     for p in p_list:
         noisy = [

@@ -47,6 +47,13 @@ from .errors import (
 CHECKPOINT_MAGIC = b"CUB1"
 CHECKPOINT_VERSION = 1
 
+# Target output firing rates of the loss: high for the true class, low for
+# all others.
+TRUE_RATE = 0.9
+FALSE_RATE = 0.1
+# Initial weights are normal with standard deviation INIT_GAIN / sqrt(fan_in).
+INIT_GAIN = 2.0
+
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_cuba.c")
 # No -ffast-math or -march=native: without FMA contraction the kernel
 # rounds exactly as the numpy reference does.
@@ -130,23 +137,6 @@ class CubaParams:
 
 
 @dataclass(frozen=True)
-class LossSpec:
-    """Target firing rates for the output layer: high for the true class,
-    low for all others."""
-
-    true_rate: float = 0.9
-    false_rate: float = 0.1
-
-    def __post_init__(self):
-        if not 0 < self.true_rate <= 1:
-            raise ConfigError(f"true_rate must be in (0, 1], got {self.true_rate}")
-        if not 0 <= self.false_rate < 1:
-            raise ConfigError(f"false_rate must be in [0, 1), got {self.false_rate}")
-        if self.false_rate >= self.true_rate:
-            raise ConfigError("false_rate must be below true_rate")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
     learning_rate: float = 1e-3
@@ -173,11 +163,11 @@ class CubaNetwork:
     """Feed-forward dense network of CUBA neurons.
 
     layer_sizes includes the input width, e.g. (7, 256, 64, 12).  Weights are
-    drawn from a seeded normal scaled by 1/sqrt(fan_in) unless given.
+    drawn from a seeded normal scaled by INIT_GAIN/sqrt(fan_in) unless given.
     """
 
     def __init__(self, layer_sizes, params=None, dropout_p: float = 0.1,
-                 weights=None, seed: int = 0, init_gain: float = 2.0):
+                 weights=None, seed: int = 0):
         sizes = tuple(int(s) for s in layer_sizes)
         if len(sizes) < 2:
             raise ConfigError("layer_sizes needs at least input and output widths")
@@ -199,7 +189,7 @@ class CubaNetwork:
             rng = Rng(seed)
             weights = [
                 rng.normal(size=(sizes[i + 1], sizes[i]),
-                           scale=init_gain / np.sqrt(sizes[i]))
+                           scale=INIT_GAIN / np.sqrt(sizes[i]))
                 for i in range(n_layers)
             ]
         self.weights = [np.array(w, dtype=np.float64) for w in weights]
@@ -406,29 +396,20 @@ def classify_batch(net: CubaNetwork, tensors) -> np.ndarray:
     return np.argmax(output_rates(net, _stack_batch(tensors)), axis=1)
 
 
-def spike_rate_loss(rates, label: int, spec: LossSpec = LossSpec()) -> float:
-    """Mean squared error between output rates and the target rate vector."""
-    rates = np.asarray(rates, dtype=np.float64)
-    n = rates.shape[0]
-    if not 0 <= label < n:
-        raise IndexError(f"label {label} out of range for {n} classes")
-    target = np.full(n, spec.false_rate)
-    target[label] = spec.true_rate
-    return float(np.mean(np.square(rates - target)))
-
-
-def _targets(labels: np.ndarray, n_classes: int, spec: LossSpec) -> np.ndarray:
-    t = np.full((labels.shape[0], n_classes), spec.false_rate)
-    t[np.arange(labels.shape[0]), labels] = spec.true_rate
+def _targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Target rate rows of the loss, TRUE_RATE at each label's class."""
+    t = np.full((labels.shape[0], n_classes), FALSE_RATE)
+    t[np.arange(labels.shape[0]), labels] = TRUE_RATE
     return t
 
 
 def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
-                    loss_spec: LossSpec, slope: float, soft: bool,
+                    slope: float, soft: bool,
                     dropout_masks=None, work: _Workspace = None):
     """Forward plus backpropagation through time over a (B, F, T) block.
 
-    Returns (loss, [dW per layer]).  The backward pass follows the forward
+    Returns (loss, [dW per layer]); the loss is the mean squared error of
+    the output rates against _targets.  The backward pass follows the forward
     graph exactly: spike derivative (surrogate in hard mode, exact sigmoid
     derivative in soft mode), the multiplicative reset, and both state
     recurrences.  The reverse recurrence yields the current gradients of a
@@ -443,7 +424,7 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
     out, tape = _simulate(net, x, soft=soft, slope=slope, record=True,
                           dropout_masks=dropout_masks, work=work)
     rates = out.mean(axis=0)  # (B, C)
-    targets = _targets(labels, net.n_classes, loss_spec)
+    targets = _targets(labels, net.n_classes)
     diff = rates - targets
     loss = float(np.mean(np.square(diff)))
     g_rates = 2.0 * diff / diff.size
@@ -551,8 +532,7 @@ def _accuracy(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
 
 
 def train(net: CubaNetwork, dataset, cfg: TrainConfig,
-          test_set=None, loss_spec: LossSpec = LossSpec(),
-          track_train_accuracy: bool = True) -> TrainResult:
+          test_set=None, track_train_accuracy: bool = True) -> TrainResult:
     """Surrogate-gradient training with ADAM; deterministic given seed.
 
     dataset (and test_set, if given) are sequences of (SpikeTensor, label)
@@ -601,9 +581,9 @@ def train(net: CubaNetwork, dataset, cfg: TrainConfig,
                     .astype(np.float64) / keep
                     for i in range(net.n_layers - 1)
                 ]
-            loss, grads = _loss_and_grads(net, xb, yb, loss_spec,
-                                          cfg.surrogate_slope, cfg.soft_mode,
-                                          dropout_masks=masks, work=work)
+            loss, grads = _loss_and_grads(net, xb, yb, cfg.surrogate_slope,
+                                          cfg.soft_mode, dropout_masks=masks,
+                                          work=work)
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite at epoch {epoch}")
             adam.step(net.weights, grads)
@@ -636,9 +616,9 @@ class GradCheckResult:
 
 
 def gradient_check(net: CubaNetwork, sample, cfg: TrainConfig,
-                   n_weights: int = 120, step: float = 1e-5,
-                   loss_spec: LossSpec = LossSpec()) -> GradCheckResult:
-    """Compare analytic gradients against central finite differences.
+                   n_weights: int = 120) -> GradCheckResult:
+    """Compare analytic gradients against central finite differences of
+    step 1e-5 at n_weights randomly picked weights.
 
     Only meaningful in soft mode, where the forward pass is differentiable;
     in hard mode the check is skipped with a non-differentiable status.
@@ -653,17 +633,16 @@ def gradient_check(net: CubaNetwork, sample, cfg: TrainConfig,
 
     def loss_only():
         rates = output_rates(net, x, soft=True, slope=cfg.surrogate_slope)
-        return float(np.mean(np.square(rates - _targets(labels, net.n_classes,
-                                                        loss_spec))))
+        return float(np.mean(np.square(rates - _targets(labels, net.n_classes))))
 
-    _, grads = _loss_and_grads(net, x, labels, loss_spec,
-                               cfg.surrogate_slope, soft=True)
+    _, grads = _loss_and_grads(net, x, labels, cfg.surrogate_slope, soft=True)
     rng = Rng(cfg.seed)
     sizes = np.array([w.size for w in net.weights])
     total = int(sizes.sum())
     picks = np.sort(rng.integers(0, total, size=min(n_weights, total)))
     bounds = np.cumsum(sizes)
     max_rel = 0.0
+    step = 1e-5
     for flat in picks:
         li = int(np.searchsorted(bounds, flat, side="right"))
         local = int(flat - (bounds[li - 1] if li else 0))

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import subprocess
 from importlib import resources
 
 import jsonschema
@@ -141,9 +142,11 @@ class TestEvaluateCommand:
         code = run(["evaluate", *SYNTH_SMALL, "--schemes", "binary6,ttfs-linear",
                     "--steps", "5", "--epochs", "1", "--out", tmp_path])
         assert code == 0
-        # one for the parser's --version, one for the whole report
-        assert len(calls) == 2
-        assert json.loads((tmp_path / "report.json").read_text())["version"] == "v-test"
+        # one for the whole report; building the parser runs none
+        assert len(calls) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["version"] == "v-test"
+        assert "version" not in report["config"]
         rows = (tmp_path / "report.csv").read_text().splitlines()[1:]
         assert [row.rsplit(",", 1)[1] for row in rows] == ["v-test", "v-test"]
 
@@ -158,6 +161,48 @@ class TestEvaluateCommand:
             code = run(["evaluate", csv_path, "--duration", "2.0",
                         "--out", tmp_path / "rep"])
         assert code == 3
+
+
+class TestArgumentErrors:
+    """Arguments that leave nothing to compute are configuration errors
+    (exit 2), caught before any window is encoded or network trained."""
+
+    EVALUATE = ["evaluate", *SYNTH_SMALL, "--epochs", "1"]
+    ENCODE = ["encode", *SYNTH_SMALL, "--scheme", "binary6"]
+
+    @pytest.mark.parametrize("args", [
+        [*EVALUATE, "--users", "0"],
+        [*ENCODE, "--sample-rate", "-5"],
+        [*ENCODE, "--duration", "0"],
+        [*ENCODE, "--duration", "nan"],
+        [*EVALUATE, "--duration", "0.01"],
+        [*EVALUATE, "--noise-seeds", "0"],
+        [*EVALUATE, "--noise-seeds", "-1"],
+    ], ids=["no-users", "negative-rate", "zero-duration", "nan-duration",
+            "sub-sample-duration", "no-noise-seeds", "negative-noise-seeds"])
+    def test_is_config_error(self, args, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run([*args, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(out.rglob("*.*"))
+
+
+class TestVersion:
+    def test_building_the_parser_starts_no_subprocess(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("subprocess started")
+
+        monkeypatch.setattr(subprocess, "run", refuse)
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        for _ in range(3):
+            cli.build_parser().parse_args(["infer", "model.cuba", "a.spk"])
+
+    def test_version_flag_prints_the_version(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "version_string", lambda: "v-test")
+        with pytest.raises(SystemExit) as exc:
+            run(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "v-test\n"
 
 
 class TestTrainInferPerturb:

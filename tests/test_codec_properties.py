@@ -1,7 +1,12 @@
 """Per-codec properties on random (channels, samples) signals in [0, 1]:
 firing rates are rates, TTFS fires at most once per sample window, binary
-fractions reconstruct within their resolution, and noise at p = 0 changes
-nothing."""
+and TTFS codes reconstruct within their resolution, delta modulation never
+fires both signs at one (channel, step), and noise at p = 0 changes
+nothing.
+
+Rate and delta-modulation reconstruction have no such property: the rate
+decoder's error is statistical, and delta modulation's is unbounded under
+slope overload."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,13 +23,19 @@ STEPS = 10
 @st.composite
 def signals(draw):
     shape = (draw(st.integers(1, 4)), draw(st.integers(2, 12)))
-    data = draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+    values = st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0)
+    data = draw(arrays(np.float64, shape, elements=values))
     return Signal(data, sample_rate_hz=20.0)
 
 
-def encoded(name, signal, seed=0):
-    config = variant_config(name, steps_per_sample=STEPS, seed=seed)
+def encoded(name, signal, seed=0, steps=STEPS):
+    config = variant_config(name, steps_per_sample=steps, seed=seed)
     return config, encode(signal, config, Rng(seed))
+
+
+def max_error(name, signal, steps):
+    config, tensor = encoded(name, signal, steps=steps)
+    return np.abs(reconstruct(tensor, config, signal).data - signal.data).max()
 
 
 @PROPERTY
@@ -51,6 +62,31 @@ def test_binary_reconstructs_within_its_resolution(signal):
         config, tensor = encoded(name, signal)
         recon = reconstruct(tensor, config, signal)
         assert np.abs(recon.data - signal.data).max() <= 2.0 ** -bits
+
+
+@PROPERTY
+@given(signal=signals(), steps=st.integers(2, 50))
+def test_ttfs_linear_reconstructs_within_one_step(signal, steps):
+    assert max_error("ttfs-linear", signal, steps) <= 1.0 / steps + 1e-12
+
+
+@PROPERTY
+@given(signal=signals(), steps=st.integers(2, 50))
+def test_ttfs_log_reconstructs_within_its_latency_resolution(signal, steps):
+    # half a 1 dB latency bin, or half the smallest distance from 0.5 that
+    # the last latency still resolves
+    bound = max(0.5 * (1.0 - 10.0 ** (-1.0 / 20.0)),
+                0.5 * 10.0 ** (-(steps - 1) / 20.0))
+    assert max_error("ttfs-log", signal, steps) <= bound + 1e-12
+
+
+@PROPERTY
+@given(signal=signals())
+def test_delta_mod_never_fires_both_signs_at_one_step(signal):
+    _, tensor = encoded("delta-mod", signal)
+    fired_up = (tensor.data == 1).any(axis=0)
+    fired_down = (tensor.data == -1).any(axis=0)
+    assert not (fired_up & fired_down).any()
 
 
 @PROPERTY

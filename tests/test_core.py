@@ -31,7 +31,6 @@ class TestSignalValidation:
         assert validate_signal(sig) is sig
         assert sig.n_channels == 7
         assert sig.n_samples == 40
-        assert sig.duration_s == 2.0
 
     def test_out_of_range_reports_coordinate(self):
         data = np.full((3, 10), 0.5)

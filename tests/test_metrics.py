@@ -17,13 +17,26 @@ from spikecodec import (
     synth_dataset,
 )
 from spikecodec.core import Rng, derive_seed
-from spikecodec.evaluation import encode_dataset, evaluate_scheme, fit_variant, mean_afr
-from spikecodec.metrics import clean_accuracy, robustness_sweep
+from spikecodec.evaluation import (
+    SchemeEvaluation,
+    encode_dataset,
+    evaluate_scheme,
+    fit_variant,
+    mean_afr,
+)
+from spikecodec.metrics import robustness_sweep
 from spikecodec.errors import ConfigError, ShapeError
+from spikecodec.snn import classify_batch
 
 
 def ternary_tensor(data):
     return SpikeTensor(np.asarray(data, dtype=np.int8), time_step_ms=1.0)
+
+
+def clean_pass(net, dataset):
+    """Share of a (SpikeTensor, label) sequence classified correctly."""
+    labels = np.asarray([l for _, l in dataset])
+    return float(np.mean(classify_batch(net, [t for t, _ in dataset]) == labels))
 
 
 class TestAfr:
@@ -164,7 +177,8 @@ class TestRobustnessSweep:
             for _ in range(6)
         ]
         net = CubaNetwork((7, 8, 3), dropout_p=0.0, seed=2)
-        rows = robustness_sweep(net, dataset, [0.0], NoiseMode.FLIP_BINARY, seed=1)
+        rows = robustness_sweep(net, dataset, [0.0], NoiseMode.FLIP_BINARY, seed=1,
+                                baseline_accuracy=clean_pass(net, dataset))
         assert rows[0].accuracy_drop == 0.0
 
     def test_rows_are_reproducible_and_ordered(self):
@@ -177,8 +191,9 @@ class TestRobustnessSweep:
             for _ in range(6)
         ]
         net = CubaNetwork((7, 8, 3), dropout_p=0.0, seed=2)
-        a = robustness_sweep(net, dataset, [0.01, 0.2], NoiseMode.FLIP_BINARY, seed=4)
-        b = robustness_sweep(net, dataset, [0.01, 0.2], NoiseMode.FLIP_BINARY, seed=4)
+        args = (net, dataset, [0.01, 0.2], NoiseMode.FLIP_BINARY)
+        a = robustness_sweep(*args, seed=4, baseline_accuracy=0.5)
+        b = robustness_sweep(*args, seed=4, baseline_accuracy=0.5)
         assert [(r.error_probability, r.accuracy) for r in a] == \
                [(r.error_probability, r.accuracy) for r in b]
 
@@ -193,9 +208,15 @@ class TestRobustnessSweep:
             for _ in range(6)
         ]
         net = CubaNetwork((7, 8, 3), dropout_p=0.0, seed=2)
-        args = (net, dataset, [0.05, 0.3], NoiseMode.FLIP_BINARY)
-        assert robustness_sweep(*args, seed=5) == robustness_sweep(
-            *args, seed=5, baseline_accuracy=clean_accuracy(net, dataset))
+        baseline = clean_pass(net, dataset)
+        args = (net, dataset, [0.0, 0.05, 0.3], NoiseMode.FLIP_BINARY)
+        rows = robustness_sweep(*args, seed=5, baseline_accuracy=baseline)
+        # p = 0 reproduces the clean pass the baseline came from
+        assert rows[0].accuracy == baseline
+        assert all(r.accuracy_drop == baseline - r.accuracy for r in rows)
+        shifted = robustness_sweep(*args, seed=5, baseline_accuracy=1.0)
+        assert [r.accuracy for r in shifted] == [r.accuracy for r in rows]
+        assert all(r.accuracy_drop == 1.0 - r.accuracy for r in shifted)
 
     def test_evaluation_drops_match_a_sweep_from_a_clean_pass(self):
         from spikecodec import TrainConfig
@@ -214,7 +235,7 @@ class TestRobustnessSweep:
         _, encoded_test, result = fit_variant(config, train_ds, test_ds, train_cfg,
                                               5, track_train_accuracy=False,
                                               hidden=(16,))
-        baseline = clean_accuracy(result.net, encoded_test)
+        baseline = clean_pass(result.net, encoded_test)
         drop_sums = np.zeros(len(p_list))
         for s in range(2):
             rows = robustness_sweep(result.net, encoded_test, p_list,
@@ -246,6 +267,16 @@ class TestRobustnessSweep:
         # 3 seeds x 3 probabilities and no clean pass: the best epoch's test
         # accuracy from training is the baseline
         assert len(calls) == 3 * 3
+
+
+class TestReportRow:
+    def test_non_finite_snr_is_written_as_null(self):
+        row = SchemeEvaluation(scheme="binary6", tensor_shape=(6, 1, 4),
+                               time_step_ms=50.0, afr_pct=50.0,
+                               snr_db=float("inf"), accuracy=1.0)
+        assert row.to_dict()["snr_db"] is None
+        row.snr_db = 12.5
+        assert row.to_dict()["snr_db"] == 12.5
 
 
 class TestNoiseModeDefaults:

@@ -13,7 +13,6 @@ from spikecodec import (
     CubaNetwork,
     CubaParams,
     EncodingConfig,
-    LossSpec,
     Rng,
     Scheme,
     SpikeTensor,
@@ -27,13 +26,11 @@ from spikecodec import (
     load_checkpoint,
     output_rates,
     save_checkpoint,
-    spike_rate_loss,
     synth_dataset,
     train,
 )
 from spikecodec.errors import (
     BadMagicError,
-    ConfigError,
     ShapeError,
     TruncatedPayloadError,
     VersionMismatchError,
@@ -166,35 +163,24 @@ class TestForward:
                                   forward(doubled, tensor).spikes)
 
 
-class TestSpikeRateLoss:
-    def test_exact_target_is_zero(self):
-        spec = LossSpec(0.9, 0.1)
-        assert spike_rate_loss([0.9, 0.1, 0.1], 0, spec) == 0.0
+class TestRateLoss:
+    def test_loss_is_the_mean_squared_error_against_fixed_targets(self):
+        net = CubaNetwork((7, 16, 3), dropout_p=0.0, seed=3)
+        data = small_task()
+        x = np.stack([t.features() for t, _ in data])
+        labels = np.array([label for _, label in data])
+        targets = np.full((len(data), 3), 0.1)
+        targets[np.arange(len(data)), labels] = 0.9
+        expected = np.mean(np.square(output_rates(net, x) - targets))
+        loss, _ = _loss_and_grads(net, x, labels, 10.0, soft=False)
+        assert loss == pytest.approx(expected, rel=1e-12)
+        assert expected > 0
 
-    def test_single_deviation_scales_by_class_count(self):
-        spec = LossSpec(0.9, 0.1)
-        delta = 0.05
-        loss = spike_rate_loss([0.9 - delta, 0.1, 0.1, 0.1], 0, spec)
-        assert loss == pytest.approx(delta ** 2 / 4)
-
-    def test_non_negative_and_zero_iff_target(self):
-        spec = LossSpec(0.8, 0.2)
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            rates = rng.uniform(0, 1, size=5)
-            loss = spike_rate_loss(rates, 2, spec)
-            target = np.full(5, 0.2)
-            target[2] = 0.8
-            assert loss >= 0
-            assert (loss == 0) == bool(np.allclose(rates, target))
-
-    def test_bad_label(self):
+    def test_label_outside_the_classes_is_rejected(self):
+        net = CubaNetwork((7, 8, 2), dropout_p=0.0, seed=1)
         with pytest.raises(IndexError):
-            spike_rate_loss([0.5, 0.5], 2, LossSpec())
-
-    def test_rate_ordering_validated(self):
-        with pytest.raises(ConfigError):
-            LossSpec(true_rate=0.5, false_rate=0.5)
+            _loss_and_grads(net, np.zeros((1, 7, 10)), np.array([2]), 10.0,
+                            soft=False)
 
 
 class TestClassify:
@@ -322,7 +308,7 @@ class TestGradientCheck:
 
         net = CubaNetwork((7, 16, 8, 3), dropout_p=0.0, seed=3)
         x = np.zeros((1, 7, 100))
-        _, grads = _loss_and_grads(net, x, np.array([0]), LossSpec(), 10.0,
+        _, grads = _loss_and_grads(net, x, np.array([0]), 10.0,
                                    soft=False)
         assert all((g == 0).all() for g in grads)
 
@@ -463,9 +449,9 @@ class TestWorkspace:
             labels = rng.integers(0, 3, size=batch)
             masks = [(rng.uniform(size=(batch, n)) < 0.9) / 0.9
                      for n in net.layer_sizes[1:-1]]
-            shared = _loss_and_grads(net, x, labels, LossSpec(), 10.0, soft=False,
+            shared = _loss_and_grads(net, x, labels, 10.0, soft=False,
                                      dropout_masks=masks, work=work)
-            fresh = _loss_and_grads(net, x, labels, LossSpec(), 10.0, soft=False,
+            fresh = _loss_and_grads(net, x, labels, 10.0, soft=False,
                                     dropout_masks=masks)
             assert shared[0] == fresh[0]
             for g, g_fresh in zip(shared[1], fresh[1]):
@@ -510,7 +496,7 @@ class TestCompiledKernel:
     def run_both(net, x, labels, masks, monkeypatch):
         def run():
             out, tape = _simulate(net, x, record=True, dropout_masks=masks)
-            loss, grads = _loss_and_grads(net, x, labels, LossSpec(), 10.0,
+            loss, grads = _loss_and_grads(net, x, labels, 10.0,
                                           soft=False, dropout_masks=masks)
             return out, tape, loss, grads
 
