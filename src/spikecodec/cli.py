@@ -108,6 +108,8 @@ def _load_dataset(args, split: bool = False) -> WindowedDataset:
     split, on every user but the held-out one, whose values are clamped.
     """
     if args.input == "synth":
+        if args.stride is not None:
+            raise ConfigError("--stride applies to CSV input")
         return synth_dataset(
             n_classes=args.classes,
             samples_per_class=args.samples_per_class,
@@ -216,11 +218,13 @@ def cmd_encode(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    names = [n.strip() for n in args.schemes.split(",") if n.strip()]
+    if not names:
+        raise ConfigError(f"--schemes {args.schemes!r} names no scheme")
     dataset = _load_dataset(args, split=True)
     if len(dataset) == 0:
         raise EmptyDatasetError("no windows to evaluate")
     train_ds, test_ds = _split(dataset, args.holdout_user)
-    names = [n.strip() for n in args.schemes.split(",") if n.strip()]
     configs = [_config_from_args(args, name) for name in names]
     train_cfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr,
                             batch_size=args.batch, seed=args.train_seed)

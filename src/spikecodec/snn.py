@@ -15,6 +15,15 @@ loaded through ctypes) when one can be built, and in numpy otherwise; the
 two give bitwise the same results, and soft mode always uses numpy.
 Every (T, B, n) block lives in a _Workspace: train keeps one for all its
 batches and accuracy passes, every other caller gets a fresh one per call.
+
+The training tape is lean.  Per layer it holds only the input x and the
+pre-reset potentials v: the recurrence writes the spikes, times the dropout
+mask, straight into the block that becomes the next layer's input, and the
+backward pass re-derives the spikes from v (v >= threshold, or the soft
+sigmoid).  The current gradients of a layer overwrite its spike gradients
+in place, so the backward pass needs two gradient blocks in all.  At
+widths 7-256-64-3 a training step holds 973 * T * B float64s (49.8 MB at
+T = 400, B = 16).
 """
 
 from __future__ import annotations
@@ -94,9 +103,9 @@ def _load_kernel():
     except (OSError, subprocess.SubprocessError):
         return None
     ptr, n, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    lib.cuba_forward.argtypes = [ptr, ptr, ptr, ptr, n, n, real, real, real]
+    lib.cuba_forward.argtypes = [ptr, ptr, ptr, ptr, ptr, n, n, real, real, real]
     lib.cuba_forward.restype = None
-    lib.cuba_backward.argtypes = [ptr, ptr, ptr, n, ptr, ptr, ptr, ptr,
+    lib.cuba_backward.argtypes = [ptr, ptr, n, ptr, ptr, ptr, ptr,
                                   n, n, real, real, real, real]
     lib.cuba_backward.restype = None
     return lib
@@ -286,13 +295,13 @@ class _Workspace:
 
 
 def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
-                 slope: float = 10.0):
+                 slope: float = 10.0, mask=None):
     """LIF recurrence over a (T, B, n) block of input currents.
 
-    Overwrites drive with the spikes and, if v_rec is given, records the
-    pre-reset potentials into it.  Hard-threshold runs go to the compiled
-    kernel when there is one; the numpy loop below is the reference it
-    matches bit for bit.
+    Overwrites drive with the spikes, times mask (a (B, n) dropout mask) if
+    one is given, and, if v_rec is given, records the pre-reset potentials
+    into it.  Hard-threshold runs go to the compiled kernel when there is
+    one; the numpy loop below is the reference it matches bit for bit.
     """
     t_len, b, n = drive.shape
     kernel = None if soft else _kernel()
@@ -300,6 +309,7 @@ def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
         state = np.zeros((2, b * n))
         kernel.cuba_forward(_ptr(drive, drive.shape),
                             None if v_rec is None else _ptr(v_rec, drive.shape),
+                            None if mask is None else _ptr(mask, (b, n)),
                             state.ctypes.data, state[1].ctypes.data, t_len, b * n,
                             1.0 - p.current_decay, 1.0 - p.voltage_decay,
                             p.threshold)
@@ -318,7 +328,7 @@ def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
         if v_rec is not None:
             v_rec[t] = v
         v = v * (1.0 - s)
-        drive[t] = s
+        drive[t] = s if mask is None else s * mask
 
 
 def _simulate(net: CubaNetwork, x: np.ndarray, soft: bool = False,
@@ -327,32 +337,40 @@ def _simulate(net: CubaNetwork, x: np.ndarray, soft: bool = False,
     """Run the network over a (B, F, T) block.
 
     Returns (out_spikes (T, B, C), tape).  When record is set, the tape holds
-    per layer the inputs "x", pre-reset potentials "v" and spikes "s" needed
-    for backpropagation, all in (T, B, n) layout.  Both are views into work
-    (a fresh workspace if none is given).
+    per layer the inputs "x" (the previous layer's spikes times its dropout
+    mask) and the pre-reset potentials "v" needed for backpropagation, both
+    in (T, B, n) layout; the spikes are v >= threshold (the soft sigmoid of
+    v in soft mode) and are not kept.  Both are views into work (a fresh
+    workspace if none is given): block ("x", li) is layer li's input, and
+    layer li's recurrence turns its drive into block ("x", li + 1).
     """
     b, f, t_len = x.shape
     if f != net.n_inputs:
         raise ShapeError(f"input features {f} != network input width {net.n_inputs}")
     work = work or _Workspace()
-    current = work.take("input", (t_len, b, f))
+    current = work.take(("x", 0), (t_len, b, f))
     np.copyto(current, x.transpose(2, 0, 1))
     tape = []
     for li in range(net.n_layers):
         w = net.weights[li]
         n_out, n_in = w.shape
-        drive = work.take(("s", li), (t_len, b, n_out))
+        drive = work.take(("x", li + 1), (t_len, b, n_out))
         np.matmul(current.reshape(t_len * b, n_in), w.T,
                   out=drive.reshape(t_len * b, n_out))
         v_rec = work.take(("v", li), drive.shape) if record else None
-        _lif_forward(drive, v_rec, net.params[li], soft, slope)
+        _lif_forward(drive, v_rec, net.params[li], soft, slope,
+                     mask=_dropout_mask(net, dropout_masks, li))
         if record:
-            tape.append({"x": current, "v": v_rec, "s": drive})
+            tape.append({"x": current, "v": v_rec})
         current = drive
-        if dropout_masks is not None and li < net.n_layers - 1:
-            current = np.multiply(drive, dropout_masks[li],
-                                  out=work.take(("x", li + 1), drive.shape))
     return current, tape
+
+
+def _dropout_mask(net: CubaNetwork, dropout_masks, li: int):
+    """Dropout mask of layer li's spikes; the output layer has none."""
+    if dropout_masks is None or li == net.n_layers - 1:
+        return None
+    return dropout_masks[li]
 
 
 def forward(net: CubaNetwork, spikes_in, record_potentials: bool = False) -> ForwardResult:
@@ -365,7 +383,8 @@ def forward(net: CubaNetwork, spikes_in, record_potentials: bool = False) -> For
     rates = raster.mean(axis=1)
     potentials = None
     if record_potentials:
-        potentials = [(layer["v"] * (1.0 - layer["s"]))[:, 0, :].T for layer in tape]
+        potentials = [(layer["v"] * (1.0 - (layer["v"] >= p.threshold)))[:, 0, :].T
+                      for layer, p in zip(tape, net.params)]
     return ForwardResult(spikes=raster, rates=rates, potentials=potentials)
 
 
@@ -415,9 +434,12 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
     recurrences.  The reverse recurrence yields the current gradients of a
     whole layer, from which dW and the input gradient are one matmul each.
     The tape and the gradient blocks live in work (a fresh workspace if
-    none is given).  Each layer's current and spike gradients are dead once
-    the next layer down has read them, so all layers share one buffer of
-    each, as wide as the widest layer; the returned dW are new arrays.
+    none is given).  Layer li's current gradients overwrite its spike
+    gradients in block ("g", li % 2), and the input gradient goes to the
+    other parity block, so two blocks, as wide as the widest layers of each
+    parity, serve the whole pass; the output layer's spike gradient is one
+    row broadcast over time and writes its current gradients to a block of
+    their own.  The returned dW are new arrays.
     """
     b, _, t_len = x.shape
     work = work or _Workspace()
@@ -434,32 +456,36 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
     for li in range(net.n_layers - 1, -1, -1):
         layer = tape[li]
         w = net.weights[li]
-        mask = None
-        if dropout_masks is not None and li < net.n_layers - 1:
-            mask = dropout_masks[li]
         n_out, n_in = w.shape
-        g_u = work.take("g_u", layer["v"].shape)
-        _lif_backward(layer["v"], layer["s"], g_s, mask, g_u, net.params[li],
-                      slope, soft)
+        # below the output layer, the same block g_s was written into
+        g_u = work.take(("g", li % 2), layer["v"].shape)
+        _lif_backward(layer["v"], g_s, _dropout_mask(net, dropout_masks, li), g_u,
+                      net.params[li], slope, soft)
         g_u = g_u.reshape(t_len * b, n_out)
-        grads[li] = g_u.T @ layer["x"].reshape(t_len * b, n_in)
+        x_in = layer["x"].reshape(t_len * b, n_in)
+        # OpenBLAS gives bitwise the same dW either way; the transposed form
+        # is faster for an input narrower than the layer (2.1 against 6.3 ms
+        # at 6400 x 7 -> 256 on one thread) and slower otherwise (10.2
+        # against 7.5 ms at 6400 x 256 -> 64)
+        grads[li] = (x_in.T @ g_u).T if n_in < n_out else g_u.T @ x_in
         if li > 0:  # the network input's gradient is never read
-            g_s = work.take("g_s", (t_len, b, n_in))
+            g_s = work.take(("g", (li - 1) % 2), (t_len, b, n_in))
             np.matmul(g_u, w, out=g_s.reshape(t_len * b, n_in))
     return loss, grads
 
 
-def _lif_backward(v_seq, s_seq, g_s, mask, g_u, p: CubaParams, slope: float,
-                  soft: bool):
+def _lif_backward(v_seq, g_s, mask, g_u, p: CubaParams, slope: float, soft: bool):
     """Reverse LIF recurrence: writes the synaptic-current gradients of a
-    (T, B, n) block into g_u, given the spike gradients g_s (times the
-    dropout mask, if any).  Dispatched like _lif_forward; g_s may broadcast
-    one (B, n) row over time."""
+    (T, B, n) block into g_u, given the pre-reset potentials v_seq and the
+    spike gradients g_s (times the dropout mask, if any).  The spikes are
+    re-derived from v_seq as the forward pass made them.  Dispatched like
+    _lif_forward; g_s may broadcast one (B, n) row over time, and g_u may
+    be g_s itself."""
     t_len, b, n = g_u.shape
     kernel = None if soft else _kernel()
     if kernel is not None:
         carry = np.zeros((2, b * n))
-        kernel.cuba_backward(_ptr(v_seq, g_u.shape), _ptr(s_seq, g_u.shape),
+        kernel.cuba_backward(_ptr(v_seq, g_u.shape),
                              _ptr(g_s, g_u.shape, broadcast_time=True),
                              g_s.strides[0] // g_s.itemsize,
                              None if mask is None else _ptr(mask, (b, n)),
@@ -474,10 +500,11 @@ def _lif_backward(v_seq, s_seq, g_s, mask, g_u, p: CubaParams, slope: float,
     carry_vp = np.zeros((b, n))
     for t in range(t_len - 1, -1, -1):
         v = v_seq[t]
-        s = s_seq[t]
         if soft:
+            s = _soft_spike(v, p, slope)
             sd = _soft_spike_grad(s, slope)
         else:
+            s = (v >= p.threshold).astype(np.float64)
             sd = _surrogate_grad(v, p, slope)
         g = g_s[t] if mask is None else g_s[t] * mask
         g_v = sd * (g - v * carry_vp) + (1.0 - s) * carry_vp

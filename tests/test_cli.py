@@ -69,6 +69,16 @@ class TestEncodeCommand:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_stride_cuts_overlapping_csv_windows(self, tmp_path, capsys):
+        csv_path = TestCsvNormalization().write_csv(tmp_path / "two.csv", None)
+        counts = []
+        for stride in ([], ["--stride", "0.5"]):
+            assert run(["encode", csv_path, "--duration", "1.0", *stride,
+                        "--scheme", "binary6", "--out", tmp_path / "out"]) == 0
+            counts.append(capsys.readouterr().out.split()[1])
+        # four 2 s recordings: two 1 s windows each, or three at a 0.5 s stride
+        assert counts == ["windows=8", "windows=12"]
+
 
 @pytest.fixture(scope="module")
 def report_dir(tmp_path_factory):
@@ -178,12 +188,16 @@ class TestArgumentErrors:
         [*EVALUATE, "--duration", "0.01"],
         [*EVALUATE, "--noise-seeds", "0"],
         [*EVALUATE, "--noise-seeds", "-1"],
+        [*EVALUATE, "--schemes", ","],
+        [*ENCODE, "--stride", "0.5"],
     ], ids=["no-users", "negative-rate", "zero-duration", "nan-duration",
-            "sub-sample-duration", "no-noise-seeds", "negative-noise-seeds"])
+            "sub-sample-duration", "no-noise-seeds", "negative-noise-seeds",
+            "no-schemes", "stride-with-synth"])
     def test_is_config_error(self, args, tmp_path, capsys):
         out = tmp_path / "out"
         assert run([*args, "--out", out]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
         assert not any(out.rglob("*.*"))
 
 

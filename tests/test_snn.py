@@ -2,6 +2,7 @@
 compiled LIF recurrence."""
 
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -462,6 +463,21 @@ class TestWorkspace:
             for g, g_copy in zip(grads, copies):
                 np.testing.assert_array_equal(g, g_copy)
 
+    def test_training_step_holds_x_v_and_two_gradient_blocks(self):
+        # widths 7-256-64-3: the input (7), per layer the drive block that
+        # becomes the next layer's input (256 + 64 + 3) and the pre-reset
+        # potentials (256 + 64 + 3), and one gradient block per layer
+        # parity, as wide as its widest layer (256 + 64)
+        t_len, batch = 20, 4
+        net = CubaNetwork((7, 256, 64, 3), dropout_p=0.1, seed=3)
+        rng = np.random.default_rng(6)
+        x = (rng.uniform(size=(batch, 7, t_len)) < 0.3).astype(np.float64)
+        masks = [(rng.uniform(size=(batch, n)) < 0.9) / 0.9 for n in (256, 64)]
+        work = snn._Workspace()
+        _loss_and_grads(net, x, rng.integers(0, 3, size=batch), 10.0, soft=False,
+                        dropout_masks=masks, work=work)
+        assert sum(flat.size for flat in work._flat.values()) == 973 * t_len * batch
+
     def test_smaller_request_reuses_the_buffer_prefix(self):
         work = snn._Workspace()
         big = work.take("a", (4, 16, 3))
@@ -530,7 +546,7 @@ class TestCompiledKernel:
             assert out.any()
             np.testing.assert_array_equal(out, out_r)
             for layer, layer_r in zip(tape, tape_r):
-                np.testing.assert_array_equal(layer["s"], layer_r["s"])
+                np.testing.assert_array_equal(layer["x"], layer_r["x"])
                 np.testing.assert_array_equal(layer["v"], layer_r["v"])
             assert loss == loss_r
             for g, g_r in zip(grads, grads_r):
@@ -576,6 +592,16 @@ class TestCompiledKernel:
         monkeypatch.setattr(snn, "_KERNEL_SOURCE", str(broken))
         assert snn._load_kernel() is None
         assert not any((tmp_path / "cache").rglob("*.so"))
+
+    @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc")),
+                        reason="no C compiler on PATH")
+    def test_shipped_source_builds_where_a_compiler_is_present(self, tmp_path,
+                                                               monkeypatch):
+        # the other kernel tests skip, and every caller falls back to numpy,
+        # when the build fails; with a compiler present that is a defect
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert snn._load_kernel() is not None
+        assert len(list((tmp_path / "spikecodec").glob("cuba-*.so"))) == 1
 
     def test_second_load_reuses_the_cached_library(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
