@@ -49,13 +49,11 @@ from .snn import (
     Classification,
     CubaNetwork,
     CubaParams,
-    ForwardResult,
     GradCheckResult,
     TrainConfig,
     TrainResult,
     classify_batch,
     classify_detailed,
-    forward,
     gradient_check,
     load_checkpoint,
     output_rates,

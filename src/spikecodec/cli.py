@@ -344,8 +344,13 @@ def cmd_infer(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    names = [os.path.basename(path) for path in args.spikes]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    if shared:
+        raise ConfigError(f"inputs share the output name(s) {', '.join(shared)} "
+                          f"in {args.out}")
     os.makedirs(args.out, exist_ok=True)
-    for i, path in enumerate(args.spikes):
+    for i, (path, name) in enumerate(zip(args.spikes, names)):
         tensor, metadata = read_spikes(path)
         if args.mode == "auto":
             encoding = _sidecar_encoding(metadata, path)
@@ -355,7 +360,7 @@ def cmd_perturb(args) -> int:
             mode = NoiseMode(args.mode)
         spec = NoiseSpec(args.noise_p, seed=derive_seed(args.seed, i), mode=mode)
         noisy = inject_noise(tensor, spec)
-        out_path = os.path.join(args.out, os.path.basename(path))
+        out_path = os.path.join(args.out, name)
         metadata = dict(metadata)
         metadata["noise"] = {"error_probability": args.noise_p,
                              "seed": args.seed, "mode": mode.value}

@@ -157,11 +157,21 @@ class SpikeTensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    def features(self) -> np.ndarray:
-        """Flatten to (trains * channels, timesteps) float64, the layout fed
-        to the classifier's input layer."""
-        t, c, n = self.data.shape
-        return self.data.reshape(t * c, n).astype(np.float64)
+
+def check_field_types(config, integers, reals):
+    """Type checks of a frozen config dataclass: each field named in
+    integers must be an integer (a bool is not) and is stored as an int;
+    each field named in reals must be a finite number.  Raises
+    ConfigError naming the first field that fails."""
+    for name in integers:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(config, name, int(value))
+    for name in reals:
+        value = getattr(config, name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -186,15 +196,8 @@ class EncodingConfig:
     def __post_init__(self):
         if isinstance(self.scheme, str):
             object.__setattr__(self, "scheme", Scheme.from_string(self.scheme))
-        for name in ("steps_per_sample", "n_bits", "interp_factor", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        for name in ("normal_mu", "normal_var", "beta_shape"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        check_field_types(self, ("steps_per_sample", "n_bits", "interp_factor", "seed"),
+                          ("normal_mu", "normal_var", "beta_shape"))
         if self.steps_per_sample < 1:
             raise ConfigError(f"steps_per_sample must be >= 1, got {self.steps_per_sample}")
         if not 1 <= self.n_bits <= 16:

@@ -39,6 +39,14 @@ DEFAULT_LABELS = (
 
 DEFAULT_CHANNELS = ("acc_x", "acc_y", "acc_z", "gyro_x", "gyro_y", "gyro_z", "hbc")
 
+# synth_dataset: one channel per sensor column, class offsets around 0.5,
+# amplitudes drawn from [SYNTH_AMP_LOW, SYNTH_AMP_HIGH), Gaussian noise.
+SYNTH_CHANNELS = len(DEFAULT_CHANNELS)
+SYNTH_OFFSET_SPREAD = 0.07
+SYNTH_AMP_LOW = 0.06
+SYNTH_AMP_HIGH = 0.12
+SYNTH_NOISE_STD = 0.02
+
 
 @dataclass(frozen=True)
 class CsvSchema:
@@ -270,10 +278,8 @@ def downsample(signal: Signal, factor: int) -> Signal:
 
 
 def synth_dataset(n_classes: int, samples_per_class: int, seed: int = 0,
-                  n_channels: int = 7, sample_rate_hz: float = 20.0,
-                  seconds: float = 2.0, n_users: int = 4,
-                  offset_spread: float = 0.07, amp_low: float = 0.06,
-                  amp_high: float = 0.12, noise_std: float = 0.02) -> WindowedDataset:
+                  sample_rate_hz: float = 20.0, seconds: float = 2.0,
+                  n_users: int = 4) -> WindowedDataset:
     """Deterministic synthetic activity windows.
 
     Each class owns a family of per-channel sinusoids: a class-specific
@@ -292,14 +298,16 @@ def synth_dataset(n_classes: int, samples_per_class: int, seed: int = 0,
     rng = Rng(seed)
     t = np.arange(width) / sample_rate_hz
 
+    n_channels = SYNTH_CHANNELS
     ch = np.arange(n_channels)
     offsets = np.empty((n_classes, n_channels))
     freqs = np.empty((n_classes, n_channels))
     for c in range(n_classes):
         pattern = np.cos(np.pi * (2 * ch + 1) * (c + 1) / (2.0 * n_channels))
-        offsets[c] = 0.5 + offset_spread * pattern
+        offsets[c] = 0.5 + SYNTH_OFFSET_SPREAD * pattern
         freqs[c] = 0.5 * (c + 1) * (1.0 + 0.1 * ch / max(1, n_channels - 1))
-    amps = amp_low + (amp_high - amp_low) * rng.uniform(size=(n_classes, n_channels))
+    amps = SYNTH_AMP_LOW + (SYNTH_AMP_HIGH - SYNTH_AMP_LOW) * rng.uniform(
+        size=(n_classes, n_channels))
     phases = 2.0 * np.pi * rng.uniform(size=(n_classes, n_channels))
 
     signals, labels, users = [], [], []
@@ -309,7 +317,7 @@ def synth_dataset(n_classes: int, samples_per_class: int, seed: int = 0,
         for i in range(samples_per_class):
             jitter = 1.0 + 0.05 * rng.normal(size=(n_channels, 1))
             noisy = offsets[c][:, None] + (base - offsets[c][:, None]) * jitter
-            noisy = noisy + noise_std * rng.normal(size=(n_channels, width))
+            noisy = noisy + SYNTH_NOISE_STD * rng.normal(size=(n_channels, width))
             signals.append(Signal(np.clip(noisy, 0.0, 1.0), sample_rate_hz))
             labels.append(c)
             users.append(f"user{i % n_users}")

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import Rng, SpikeTensor
+from .core import Rng, check_field_types
 from .dataio import atomic_write, read_container, read_sidecar, unpack_header, write_json
 from .errors import (
     ConfigError,
@@ -62,6 +62,9 @@ TRUE_RATE = 0.9
 FALSE_RATE = 0.1
 # Initial weights are normal with standard deviation INIT_GAIN / sqrt(fan_in).
 INIT_GAIN = 2.0
+# Checkpoints store weights as float32: a weight beyond this magnitude, or
+# NaN, means training diverged, even where the loss stays finite.
+WEIGHT_LIMIT = float(np.finfo(np.float32).max)
 
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_cuba.c")
 # No -ffast-math or -march=native: without FMA contraction the kernel
@@ -158,6 +161,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self, ("epochs", "batch_size", "seed"),
+                          ("learning_rate", "surrogate_slope"))
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
@@ -166,10 +171,12 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.surrogate_slope <= 0:
             raise ConfigError(f"surrogate_slope must be positive, got {self.surrogate_slope}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be unsigned, got {self.seed}")
 
 
 class CubaNetwork:
-    """Feed-forward dense network of CUBA neurons.
+    """Dense network of CUBA neurons, each layer feeding only the next.
 
     layer_sizes includes the input width, e.g. (7, 256, 64, 12).  Weights are
     drawn from a seeded normal scaled by INIT_GAIN/sqrt(fan_in) unless given.
@@ -242,16 +249,6 @@ def _soft_spike_grad(s: np.ndarray, slope: float) -> np.ndarray:
     return slope * s * (1.0 - s)
 
 
-@dataclass
-class ForwardResult:
-    """Output raster of shape (classes, timesteps) plus the per-class mean
-    firing rates over the whole duration."""
-
-    spikes: np.ndarray
-    rates: np.ndarray
-    potentials: list = None
-
-
 @dataclass(frozen=True)
 class Classification:
     label: int
@@ -259,14 +256,12 @@ class Classification:
     no_spikes: bool
 
 
-def _as_features(x) -> np.ndarray:
-    if isinstance(x, SpikeTensor):
-        return x.features()
-    return np.asarray(x, dtype=np.float64)
-
-
 def _stack_batch(tensors) -> np.ndarray:
-    feats = [_as_features(t) for t in tensors]
+    """The network's (B, F, T) float64 input block, the one place that
+    knows its layout: each SpikeTensor's trains and channels flatten,
+    train-major, to F rows.  Tensors of differing shapes are a ShapeError."""
+    feats = [t.data.reshape(t.n_trains * t.n_channels, t.n_timesteps)
+             .astype(np.float64) for t in tensors]
     shapes = {f.shape for f in feats}
     if len(shapes) != 1:
         raise ShapeError(f"batch mixes input shapes: {sorted(shapes)}")
@@ -373,32 +368,16 @@ def _dropout_mask(net: CubaNetwork, dropout_masks, li: int):
     return dropout_masks[li]
 
 
-def forward(net: CubaNetwork, spikes_in, record_potentials: bool = False) -> ForwardResult:
-    """Output raster of one sample, and with record_potentials the
-    post-reset potentials of every layer; classification goes through
-    output_rates instead."""
-    x = _as_features(spikes_in)[np.newaxis]  # (1, F, T)
-    out, tape = _simulate(net, x, record=record_potentials)
-    raster = out[:, 0, :].T  # (classes, T)
-    rates = raster.mean(axis=1)
-    potentials = None
-    if record_potentials:
-        potentials = [(layer["v"] * (1.0 - (layer["v"] >= p.threshold)))[:, 0, :].T
-                      for layer, p in zip(tape, net.params)]
-    return ForwardResult(spikes=raster, rates=rates, potentials=potentials)
-
-
-def output_rates(net: CubaNetwork, x: np.ndarray, soft: bool = False,
-                 slope: float = 10.0, batch_size: int = None,
+def output_rates(net: CubaNetwork, x: np.ndarray, batch_size: int = None,
                  work: _Workspace = None) -> np.ndarray:
     """Per-class output rates (B, classes) of a stacked (B, F, T) block: the
-    mean output spike count over time.  With batch_size, the block is
-    simulated that many samples at a time, every block in one workspace."""
+    mean output spike count over time.  The one way a network runs outside
+    training.  With batch_size, the block is simulated that many samples at
+    a time, every block in one workspace."""
     step = batch_size or x.shape[0]
     work = work or _Workspace()
     return np.concatenate([
-        _simulate(net, x[start:start + step], soft=soft, slope=slope,
-                  work=work)[0].mean(axis=0)
+        _simulate(net, x[start:start + step], work=work)[0].mean(axis=0)
         for start in range(0, x.shape[0], step)
     ])
 
@@ -406,7 +385,7 @@ def output_rates(net: CubaNetwork, x: np.ndarray, soft: bool = False,
 def classify_detailed(net: CubaNetwork, spikes_in) -> Classification:
     """Class with the highest output rate for one sample; ties break toward
     the lowest index."""
-    rates = output_rates(net, _as_features(spikes_in)[np.newaxis])[0]
+    rates = output_rates(net, _stack_batch([spikes_in]))[0]
     return Classification(label=int(np.argmax(rates)), rates=rates,
                           no_spikes=bool(rates.sum() == 0.0))
 
@@ -428,8 +407,8 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
     """Forward plus backpropagation through time over a (B, F, T) block.
 
     Returns (loss, [dW per layer]); the loss is the mean squared error of
-    the output rates against _targets.  The backward pass follows the forward
-    graph exactly: spike derivative (surrogate in hard mode, exact sigmoid
+    the output rates against _targets.  The backward pass follows the
+    simulation exactly: spike derivative (surrogate in hard mode, exact sigmoid
     derivative in soft mode), the multiplicative reset, and both state
     recurrences.  The reverse recurrence yields the current gradients of a
     whole layer, from which dW and the input gradient are one matmul each.
@@ -478,7 +457,7 @@ def _lif_backward(v_seq, g_s, mask, g_u, p: CubaParams, slope: float, soft: bool
     """Reverse LIF recurrence: writes the synaptic-current gradients of a
     (T, B, n) block into g_u, given the pre-reset potentials v_seq and the
     spike gradients g_s (times the dropout mask, if any).  The spikes are
-    re-derived from v_seq as the forward pass made them.  Dispatched like
+    re-derived from v_seq as _lif_forward made them.  Dispatched like
     _lif_forward; g_s may broadcast one (B, n) row over time, and g_u may
     be g_s itself."""
     t_len, b, n = g_u.shape
@@ -614,6 +593,10 @@ def train(net: CubaNetwork, dataset, cfg: TrainConfig,
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite at epoch {epoch}")
             adam.step(net.weights, grads)
+            if not all(-WEIGHT_LIMIT <= w.min() and w.max() <= WEIGHT_LIMIT
+                       for w in net.weights):
+                raise DivergenceError(f"a weight left the finite float32 range "
+                                      f"at epoch {epoch}")
             epoch_loss += loss
             n_batches += 1
         test_acc = _accuracy(net, x_test, y_test, cfg.batch_size, work)
@@ -647,7 +630,7 @@ def gradient_check(net: CubaNetwork, sample, cfg: TrainConfig,
     """Compare analytic gradients against central finite differences of
     step 1e-5 at n_weights randomly picked weights.
 
-    Only meaningful in soft mode, where the forward pass is differentiable;
+    Only meaningful in soft mode, where the simulation is differentiable;
     in hard mode the check is skipped with a non-differentiable status.
     Dropout is disabled for the comparison.
     """
@@ -655,11 +638,11 @@ def gradient_check(net: CubaNetwork, sample, cfg: TrainConfig,
         return GradCheckResult(status="skipped: non-differentiable hard threshold",
                                max_rel_error=float("nan"), n_checked=0)
     tensor, label = sample
-    x = _as_features(tensor)[np.newaxis]
+    x = _stack_batch([tensor])
     labels = np.asarray([label], dtype=np.int64)
 
     def loss_only():
-        rates = output_rates(net, x, soft=True, slope=cfg.surrogate_slope)
+        rates = _simulate(net, x, soft=True, slope=cfg.surrogate_slope)[0].mean(axis=0)
         return float(np.mean(np.square(rates - _targets(labels, net.n_classes))))
 
     _, grads = _loss_and_grads(net, x, labels, cfg.surrogate_slope, soft=True)

@@ -3,7 +3,7 @@
 These deliberately avoid the code paths (and the scipy special functions)
 used by the library: the Gaussian CDF comes from a Maclaurin series for erf,
 beta CDFs from mpmath's regularized incomplete beta, and every inverse is a
-bisection of the corresponding forward oracle.
+bisection of the oracle it inverts.
 """
 
 import math

@@ -179,6 +179,8 @@ class TestArgumentErrors:
 
     EVALUATE = ["evaluate", *SYNTH_SMALL, "--epochs", "1"]
     ENCODE = ["encode", *SYNTH_SMALL, "--scheme", "binary6"]
+    TRAIN = ["train", *SYNTH_SMALL, "--scheme", "binary6", "--steps", "5",
+             "--epochs", "2", "--batch", "4"]
 
     @pytest.mark.parametrize("args", [
         [*EVALUATE, "--users", "0"],
@@ -190,9 +192,14 @@ class TestArgumentErrors:
         [*EVALUATE, "--noise-seeds", "-1"],
         [*EVALUATE, "--schemes", ","],
         [*ENCODE, "--stride", "0.5"],
+        [*TRAIN, "--lr", "nan"],
+        [*TRAIN, "--lr", "inf"],
+        [*EVALUATE, "--lr", "nan"],
+        [*EVALUATE, "--lr", "inf"],
     ], ids=["no-users", "negative-rate", "zero-duration", "nan-duration",
             "sub-sample-duration", "no-noise-seeds", "negative-noise-seeds",
-            "no-schemes", "stride-with-synth"])
+            "no-schemes", "stride-with-synth", "train-nan-lr", "train-inf-lr",
+            "evaluate-nan-lr", "evaluate-inf-lr"])
     def test_is_config_error(self, args, tmp_path, capsys):
         out = tmp_path / "out"
         assert run([*args, "--out", out]) == 2
@@ -286,6 +293,30 @@ class TestTrainInferPerturb:
         perturbed, meta = read_spikes(out / "w00000.spk")
         assert not np.array_equal(original.data, perturbed.data)
         assert meta["noise"]["mode"] == "flip-binary"
+
+    def test_train_divergence_writes_no_checkpoint(self, tmp_path, capsys):
+        out = tmp_path / "model"
+        code = run(["train", *SYNTH_SMALL, "--scheme", "binary6", "--steps", "5",
+                    "--epochs", "2", "--batch", "4", "--lr", "1e300", "--out", out])
+        assert code == 4
+        assert "float32 range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_perturb_inputs_sharing_a_basename_is_config_error(self, spikes_dir,
+                                                              tmp_path, capsys):
+        copies = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            for suffix in (".spk", ".json"):
+                src = spikes_dir / f"w00000{suffix}"
+                (tmp_path / name / src.name).write_bytes(src.read_bytes())
+            copies.append(tmp_path / name / "w00000.spk")
+        out = tmp_path / "o"
+        code = run(["perturb", *copies, "--noise-p", "0.1", "--out", out])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "w00000.spk" in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_perturb_is_seed_reproducible(self, spikes_dir, tmp_path):
         outs = []

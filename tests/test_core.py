@@ -85,7 +85,6 @@ class TestSpikeTensor:
         t = SpikeTensor(np.zeros((2, 7, 10), dtype=np.int8), 1.0, window_steps=5)
         assert t.shape == (2, 7, 10)
         assert (t.n_trains, t.n_channels, t.n_timesteps) == (2, 7, 10)
-        assert t.features().shape == (14, 10)
 
     def test_negative_values_allowed(self):
         data = np.zeros((1, 1, 4), dtype=np.int8)

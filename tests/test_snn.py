@@ -22,7 +22,6 @@ from spikecodec import (
     classify_detailed,
     derive_seed,
     encode,
-    forward,
     gradient_check,
     load_checkpoint,
     output_rates,
@@ -32,13 +31,15 @@ from spikecodec import (
 )
 from spikecodec.errors import (
     BadMagicError,
+    ConfigError,
+    DivergenceError,
     ShapeError,
     TruncatedPayloadError,
     VersionMismatchError,
 )
 from spikecodec import snn
 from spikecodec.evaluation import VARIANT_NAMES, encode_dataset, variant_config
-from spikecodec.snn import _lif_forward, _loss_and_grads, _simulate
+from spikecodec.snn import _lif_forward, _loss_and_grads, _simulate, _stack_batch
 
 
 def encode_windows(dataset, config, base_seed=0):
@@ -69,6 +70,11 @@ def cuba_steps(x, weights, params):
     v_post = v * (1.0 - s)
     v_prev = np.vstack([np.zeros((1, v.shape[1])), v_post[:-1]])
     return s, v - (1.0 - params.voltage_decay) * v_prev, v_post
+
+
+def raster(net, tensor):
+    """Output spikes (timesteps, classes) of one SpikeTensor."""
+    return _simulate(net, _stack_batch([tensor]))[0][:, 0, :]
 
 
 class TestCubaStep:
@@ -111,16 +117,15 @@ class TestCubaStep:
         p = CubaParams()
         net = CubaNetwork((2, 4), params=p, dropout_p=0.0, weights=[np.zeros((4, 2))])
         with pytest.raises(ShapeError):
-            forward(net, np.ones((3, 10)))
+            output_rates(net, np.ones((1, 3, 10)))
 
 
 class TestForward:
     def test_zero_input_zero_rates(self):
         net = CubaNetwork((7, 8, 3), dropout_p=0.0, seed=1)
         silent = SpikeTensor(np.zeros((1, 7, 40), dtype=np.int8), 1.0)
-        result = forward(net, silent)
-        assert (result.rates == 0).all()
-        assert (result.spikes == 0).all()
+        assert (raster(net, silent) == 0).all()
+        assert (output_rates(net, _stack_batch([silent])) == 0).all()
 
     def test_saturating_drive_rates_near_one(self):
         # strong positive weights and a dense input saturate the output
@@ -130,22 +135,22 @@ class TestForward:
                                                    voltage_decay=1.0),
                           dropout_p=0.0, weights=weights)
         dense = SpikeTensor(np.ones((1, 4, 30), dtype=np.int8), 1.0)
-        result = forward(net, dense)
-        assert result.rates.min() >= 0.9
+        assert output_rates(net, _stack_batch([dense])).min() >= 0.9
 
     def test_forward_is_deterministic(self):
         net = CubaNetwork((7, 16, 3), dropout_p=0.0, seed=3)
         tensor, _ = small_task()[0]
-        a = forward(net, tensor)
-        b = forward(net, tensor)
-        assert np.array_equal(a.spikes, b.spikes)
+        assert np.array_equal(raster(net, tensor), raster(net, tensor))
 
     def test_potential_never_ends_step_at_or_above_threshold(self):
+        # the potential left after a step is the pre-reset one where the
+        # neuron stayed silent and zero where it fired
         net = CubaNetwork((7, 16, 8, 3), dropout_p=0.0, seed=5)
-        for tensor, _ in small_task()[:4]:
-            result = forward(net, tensor, record_potentials=True)
-            for layer_v, p in zip(result.potentials, net.params):
-                assert (layer_v < p.threshold).all()
+        out, tape = _simulate(net, _stack_batch([t for t, _ in small_task()[:4]]),
+                              record=True)
+        spikes = [layer["x"] for layer in tape[1:]] + [out]
+        for layer, s, p in zip(tape, spikes, net.params):
+            assert (layer["v"] * (1.0 - s) < p.threshold).all()
 
     def test_doubling_weights_and_threshold_preserves_raster(self):
         rng = np.random.default_rng(17)
@@ -160,15 +165,14 @@ class TestForward:
                 weights=[w * 2 for w in net.weights],
             )
             tensor, _ = small_task(seed=trial)[0]
-            assert np.array_equal(forward(net, tensor).spikes,
-                                  forward(doubled, tensor).spikes)
+            assert np.array_equal(raster(net, tensor), raster(doubled, tensor))
 
 
 class TestRateLoss:
     def test_loss_is_the_mean_squared_error_against_fixed_targets(self):
         net = CubaNetwork((7, 16, 3), dropout_p=0.0, seed=3)
         data = small_task()
-        x = np.stack([t.features() for t, _ in data])
+        x = _stack_batch([t for t, _ in data])
         labels = np.array([label for _, label in data])
         targets = np.full((len(data), 3), 0.1)
         targets[np.arange(len(data)), labels] = 0.9
@@ -205,21 +209,34 @@ class TestClassify:
         net = CubaNetwork((7, 16, 3), dropout_p=0.0, seed=3)
         tensor, _ = small_task()[0]
         assert (classify_detailed(net, tensor).label
-                == int(np.argmax(forward(net, tensor).rates)))
+                == int(np.argmax(raster(net, tensor).mean(axis=0))))
 
     def test_batched_rates_match_single_samples(self):
         net = CubaNetwork((7, 16, 3), dropout_p=0.0, seed=3)
         data = small_task()
         tensors = [t for t, _ in data]
-        x = np.stack([t.features() for t in tensors])
-        whole = output_rates(net, x)
+        whole = output_rates(net, _stack_batch(tensors))
         assert whole.shape == (len(tensors), 3)
-        np.testing.assert_array_equal(output_rates(net, x, batch_size=5), whole)
+        np.testing.assert_array_equal(
+            output_rates(net, _stack_batch(tensors), batch_size=5), whole)
         for tensor, rates in zip(tensors, whole):
-            np.testing.assert_array_equal(forward(net, tensor).rates, rates)
+            np.testing.assert_array_equal(raster(net, tensor).mean(axis=0), rates)
             np.testing.assert_array_equal(classify_detailed(net, tensor).rates, rates)
         np.testing.assert_array_equal(classify_batch(net, tensors),
                                       np.argmax(whole, axis=1))
+
+    def test_input_block_flattens_trains_then_channels(self):
+        data = np.arange(2 * 3 * 4).reshape(2, 3, 4) % 3 - 1
+        tensors = [SpikeTensor(data, 1.0), SpikeTensor(-data, 1.0)]
+        x = _stack_batch(tensors)
+        assert x.dtype == np.float64 and x.shape == (2, 6, 4)
+        for tensor, block in zip(tensors, x):
+            for train_i in range(2):
+                for channel in range(3):
+                    np.testing.assert_array_equal(block[3 * train_i + channel],
+                                                  tensor.data[train_i, channel])
+        with pytest.raises(ShapeError):
+            _stack_batch([tensors[0], SpikeTensor(data[:, :, :3], 1.0)])
 
 
 class TestTraining:
@@ -286,12 +303,49 @@ class TestTraining:
         for h in result.history:
             assert h.train_accuracy == (h.test_accuracy if track else None)
 
+    @pytest.mark.parametrize("scheme", (Scheme.RATE_UNIFORM, Scheme.TTFS_LINEAR))
+    def test_weights_beyond_float32_are_divergence(self, scheme):
+        # a huge step leaves the loss finite: rate-uniform's weights stay
+        # finite float64s near 1e300, which a checkpoint would store as
+        # inf, and ttfs-linear's turn NaN, whose neurons never fire
+        ds = synth_dataset(3, 4, seed=1, seconds=1.0)
+        data = encode_windows(ds, EncodingConfig(scheme, steps_per_sample=5, seed=1), 1)
+        net = CubaNetwork((7, 16, 8, 3), dropout_p=0.0, seed=2)
+        cfg = TrainConfig(epochs=2, learning_rate=1e300, batch_size=4, seed=4)
+        with pytest.raises(DivergenceError, match="float32 range"):
+            train(net, data, cfg)
+
     def test_mixed_shapes_rejected(self):
         a = SpikeTensor(np.zeros((1, 7, 10), dtype=np.int8), 1.0)
         b = SpikeTensor(np.zeros((1, 7, 20), dtype=np.int8), 1.0)
         net = CubaNetwork((7, 8, 2), dropout_p=0.0)
         with pytest.raises(ShapeError):
             train(net, [(a, 0), (b, 1)], TrainConfig(epochs=1))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", (
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("learning_rate", "0.1"),
+        ("surrogate_slope", float("nan")),
+        ("surrogate_slope", float("-inf")),
+        ("epochs", 2.5),
+        ("epochs", True),
+        ("batch_size", float("nan")),
+        ("batch_size", "16"),
+        ("seed", 1.0),
+        ("seed", False),
+        ("seed", -1),
+    ))
+    def test_non_integer_or_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.uint8(4), seed=np.int32(5))
+        assert (cfg.epochs, cfg.batch_size, cfg.seed) == (3, 4, 5)
+        assert all(type(v) is int for v in (cfg.epochs, cfg.batch_size, cfg.seed))
 
 
 class TestGradientCheck:
@@ -407,7 +461,7 @@ class TestCheckpoint:
         path = tmp_path / "model.cuba"
         save_checkpoint(result.net, path)
         loaded, _ = load_checkpoint(path)
-        x = snn._stack_batch([t for t, _ in encoded_test])
+        x = _stack_batch([t for t, _ in encoded_test])
         trained_out, _ = _simulate(result.net, x)
         loaded_out, _ = _simulate(loaded, x)
         assert trained_out.any()
@@ -489,18 +543,12 @@ class TestWorkspace:
     def test_results_kept_across_later_calls_are_unchanged(self):
         net = CubaNetwork((7, 16, 3), dropout_p=0.0, seed=4)
         rng = np.random.default_rng(5)
-        a, b = ((rng.uniform(size=(7, 30)) < p).astype(np.float64) for p in (0.5, 0.1))
-        first = forward(net, a, record_potentials=True)
-        raster = first.spikes.copy()
-        potentials = [v.copy() for v in first.potentials]
-        rates = output_rates(net, a[np.newaxis])
+        a, b = ((rng.uniform(size=(3, 7, 30)) < p).astype(np.float64) for p in (0.5, 0.1))
+        work = snn._Workspace()
+        rates = output_rates(net, a, batch_size=2, work=work)
         rates_copy = rates.copy()
-        forward(net, b, record_potentials=True)
-        output_rates(net, b[np.newaxis])
-        assert raster.any()
-        np.testing.assert_array_equal(first.spikes, raster)
-        for v, v_copy in zip(first.potentials, potentials):
-            np.testing.assert_array_equal(v, v_copy)
+        output_rates(net, b, batch_size=2, work=work)
+        assert rates.any()
         np.testing.assert_array_equal(rates, rates_copy)
 
 
@@ -566,24 +614,24 @@ class TestCompiledKernel:
                                                            monkeypatch):
         data = small_task()
 
-        def train_and_forward():
+        def train_and_simulate():
             net = CubaNetwork((7, 16, 8, 3), dropout_p=0.1, seed=2)
             cfg = TrainConfig(epochs=3, learning_rate=2e-3, batch_size=4, seed=4)
             result = train(net, data, cfg)
-            return result, forward(result.net, data[0][0], record_potentials=True)
+            return result, _simulate(result.net, _stack_batch([data[0][0]]), record=True)
 
-        first, first_fwd = train_and_forward()
+        first, (first_out, first_tape) = train_and_simulate()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(snn.shutil, "which", lambda name: None)
         assert snn._load_kernel() is None
         monkeypatch.setattr(snn, "_kernel", snn._load_kernel)
-        second, second_fwd = train_and_forward()
+        second, (second_out, second_tape) = train_and_simulate()
         assert first.history == second.history
         for a, b in zip(first.net.weights, second.net.weights):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(first_fwd.spikes, second_fwd.spikes)
-        for a, b in zip(first_fwd.potentials, second_fwd.potentials):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(first_out, second_out)
+        for a, b in zip(first_tape, second_tape):
+            np.testing.assert_array_equal(a["v"], b["v"])
 
     def test_compiler_error_means_no_kernel(self, tmp_path, monkeypatch):
         broken = tmp_path / "broken.c"
