@@ -61,7 +61,6 @@ from .snn import (
     train,
 )
 from .dataio import (
-    CsvSchema,
     NormStats,
     SessionRecord,
     WindowedDataset,

@@ -1,10 +1,10 @@
 """Command line interface: encode, evaluate, train, infer, perturb.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error (a bad
-signal value, shape or file), 4 numeric divergence during training.  Every
-command that takes --seed is bitwise reproducible, and report files always
-carry the resolved configuration plus the package version (git describe
-when available).
+signal value, shape or file, or a path that cannot be read or written), 4
+numeric divergence during training.  Every command that takes --seed is
+bitwise reproducible, and report files always carry the resolved
+configuration plus the package version (git describe when available).
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .core import EncodingConfig, derive_seed
 from .dataio import (
-    CsvSchema,
     NormStats,
     WindowedDataset,
     atomic_write,
@@ -105,12 +105,13 @@ def _load_dataset(args, split: bool = False) -> WindowedDataset:
     """Windows from a CSV path, or a synthetic set when INPUT is "synth".
 
     A CSV's min-max statistics are fitted on every user (encode) or, with
-    split, on every user but the held-out one, whose values are clamped.
+    split, on every user but the held-out one, whose values are clamped.  A
+    CSV without a single window is an EmptyDatasetError.
     """
     if args.input == "synth":
         if args.stride is not None:
             raise ConfigError("--stride applies to CSV input")
-        return synth_dataset(
+        return synth_dataset(  # never empty: it rejects zero classes or samples
             n_classes=args.classes,
             samples_per_class=args.samples_per_class,
             seed=args.synth_seed,
@@ -118,19 +119,32 @@ def _load_dataset(args, split: bool = False) -> WindowedDataset:
             seconds=args.duration,
             n_users=args.users,
         )
-    schema = CsvSchema(sample_rate_hz=args.sample_rate)
-    records = load_csv(args.input, schema)
+    records = load_csv(args.input)
 
     def cut(recs):
-        return window(recs, schema.sample_rate_hz, seconds=args.duration,
-                      stride_seconds=args.stride, labels=schema.labels)
+        return window(recs, args.sample_rate, seconds=args.duration,
+                      stride_seconds=args.stride)
 
     stats = None
     if split and records:  # raw windows: only their users are read
         held = _holdout_user(cut(records), args.holdout_user)
         stats = NormStats.fit([r for r in records if r.user != held] or records)
     records, _ = normalize(records, stats)
-    return cut(records)
+    dataset = cut(records)
+    if len(dataset) == 0:
+        raise EmptyDatasetError(f"no {args.duration:g}s window in {args.input}")
+    return dataset
+
+
+def _training_inputs(args):
+    """(train split, test split, TrainConfig) of train and evaluate: the
+    dataset split at --holdout-user, and the training options."""
+    dataset = _load_dataset(args, split=True)
+    train_ds, test_ds = dataset.split_leave_one_user_out(
+        _holdout_user(dataset, args.holdout_user))
+    train_cfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr,
+                            batch_size=args.batch, seed=args.train_seed)
+    return train_ds, test_ds, train_cfg
 
 
 def _dataset_args(sub):
@@ -187,19 +201,8 @@ def _holdout_user(dataset: WindowedDataset, holdout_user):
     return min(dataset.users, default=None) if holdout_user is None else holdout_user
 
 
-def _split(dataset: WindowedDataset, holdout_user):
-    return dataset.split_leave_one_user_out(_holdout_user(dataset, holdout_user))
-
-
-def _resolved_config(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
 def cmd_encode(args) -> int:
     dataset = _load_dataset(args)
-    if len(dataset) == 0:
-        raise EmptyDatasetError("no windows to encode")
     config = _config_from_args(args, args.scheme)
     os.makedirs(args.out, exist_ok=True)
     encoded = encode_dataset(dataset, config)
@@ -221,13 +224,8 @@ def cmd_evaluate(args) -> int:
     names = [n.strip() for n in args.schemes.split(",") if n.strip()]
     if not names:
         raise ConfigError(f"--schemes {args.schemes!r} names no scheme")
-    dataset = _load_dataset(args, split=True)
-    if len(dataset) == 0:
-        raise EmptyDatasetError("no windows to evaluate")
-    train_ds, test_ds = _split(dataset, args.holdout_user)
+    train_ds, test_ds, train_cfg = _training_inputs(args)
     configs = [_config_from_args(args, name) for name in names]
-    train_cfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr,
-                            batch_size=args.batch, seed=args.train_seed)
     rows = []
     for name, config in zip(names, configs):
         row = evaluate_scheme(name, config, train_ds, test_ds, train_cfg,
@@ -244,7 +242,7 @@ def cmd_evaluate(args) -> int:
     if args.report in ("json", "both"):
         report = {
             "version": version,
-            "config": _resolved_config(args),
+            "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
             "rows": [r.to_dict() for r in rows],
         }
         write_json(os.path.join(args.out, "report.json"), report)
@@ -272,13 +270,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = _load_dataset(args, split=True)
-    if len(dataset) == 0:
-        raise EmptyDatasetError("no windows to train on")
-    train_ds, test_ds = _split(dataset, args.holdout_user)
+    train_ds, test_ds, train_cfg = _training_inputs(args)
     config = _config_from_args(args, args.scheme)
-    train_cfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr,
-                            batch_size=args.batch, seed=args.train_seed)
     encoded_train, _, result = fit_variant(config, train_ds, test_ds, train_cfg,
                                            args.train_seed, track_train_accuracy=True)
 
@@ -286,7 +279,7 @@ def cmd_train(args) -> int:
     ckpt = os.path.join(args.out, "checkpoint.cuba")
     save_checkpoint(result.net, ckpt, train_config=train_cfg, sidecar_extra={
         "encoding": config.to_dict(),
-        "label_names": list(dataset.label_names),
+        "label_names": list(train_ds.label_names),
         "dataset_fingerprint": dataset_fingerprint(encoded_train),
         "best_epoch": result.best_epoch,
         "best_test_accuracy": result.best_test_accuracy,
@@ -349,6 +342,8 @@ def cmd_perturb(args) -> int:
     if shared:
         raise ConfigError(f"inputs share the output name(s) {', '.join(shared)} "
                           f"in {args.out}")
+    # a bad --noise-p or --seed is a ConfigError before --out exists
+    spec = NoiseSpec(args.noise_p, seed=derive_seed(args.seed, 0))
     os.makedirs(args.out, exist_ok=True)
     for i, (path, name) in enumerate(zip(args.spikes, names)):
         tensor, metadata = read_spikes(path)
@@ -358,8 +353,8 @@ def cmd_perturb(args) -> int:
                     else NoiseMode.FLIP_BINARY)
         else:
             mode = NoiseMode(args.mode)
-        spec = NoiseSpec(args.noise_p, seed=derive_seed(args.seed, i), mode=mode)
-        noisy = inject_noise(tensor, spec)
+        noisy = inject_noise(tensor, replace(spec, seed=derive_seed(args.seed, i),
+                                             mode=mode))
         out_path = os.path.join(args.out, name)
         metadata = dict(metadata)
         metadata["noise"] = {"error_probability": args.noise_p,
@@ -430,7 +425,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (SpikeCodecError, FileNotFoundError) as exc:
+    except (SpikeCodecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -324,5 +324,7 @@ class Rng:
 
 def derive_seed(seed: int, *indices: int) -> int:
     """Deterministically hash a parent seed and worker indices to a child seed."""
+    if seed < 0:
+        raise ConfigError(f"seed must be unsigned, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(i) for i in indices))
     return int(ss.generate_state(1, np.uint64)[0])

@@ -49,17 +49,6 @@ SYNTH_NOISE_STD = 0.02
 
 
 @dataclass(frozen=True)
-class CsvSchema:
-    """Column layout and label vocabulary of a sensor CSV file."""
-
-    channel_columns: tuple = DEFAULT_CHANNELS
-    label_column: str = "label"
-    user_column: str = "user"
-    labels: tuple = DEFAULT_LABELS
-    sample_rate_hz: float = 20.0
-
-
-@dataclass(frozen=True)
 class SessionRecord:
     """A contiguous, time-ordered run of sensor rows sharing one label and
     one user.  values has shape (rows, channels)."""
@@ -84,12 +73,14 @@ class SessionRecord:
         return self.values.shape[1]
 
 
-def load_csv(path, schema: CsvSchema = CsvSchema()) -> list:
+def load_csv(path) -> list:
     """Parse a sensor CSV into session records.
 
-    Rows are grouped into a new record whenever the user or label changes.
-    Malformed cells raise ParseError with the offending line number (1-based,
-    header included); unknown labels raise LabelError listing the vocabulary.
+    The layout is fixed: the DEFAULT_CHANNELS columns, "label" (one of
+    DEFAULT_LABELS) and "user".  Rows are grouped into a new record whenever
+    the user or label changes.  Malformed cells raise ParseError with the
+    offending line number (1-based, header included); unknown labels raise
+    LabelError listing the vocabulary.
     """
     path = os.fspath(path)
     records = []
@@ -105,22 +96,21 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> list:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ParseError(f"{path}: empty file")
-        needed = list(schema.channel_columns) + [schema.label_column, schema.user_column]
-        for col in needed:
+        for col in (*DEFAULT_CHANNELS, "label", "user"):
             if col not in reader.fieldnames:
                 raise MissingColumnError(f"{path}: missing column {col!r}")
         for line_no, row in enumerate(reader, start=2):
             try:
-                sensors = [float(row[c]) for c in schema.channel_columns]
+                sensors = [float(row[c]) for c in DEFAULT_CHANNELS]
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: line {line_no}: non-numeric sensor cell") from exc
-            label = row[schema.label_column]
-            if label not in schema.labels:
+            label = row["label"]
+            if label not in DEFAULT_LABELS:
                 raise LabelError(
                     f"{path}: line {line_no}: unknown label {label!r}; "
-                    f"vocabulary: {', '.join(schema.labels)}"
+                    f"vocabulary: {', '.join(DEFAULT_LABELS)}"
                 )
-            user = row[schema.user_column]
+            user = row["user"]
             if current != (user, label):
                 flush()
                 current = (user, label)
@@ -225,22 +215,22 @@ def _samples(sample_rate_hz: float, seconds: float, what: str) -> int:
 
 
 def window(records, sample_rate_hz: float, seconds: float = 2.0,
-           stride_seconds: float = None, labels=DEFAULT_LABELS) -> WindowedDataset:
+           stride_seconds: float = None) -> WindowedDataset:
     """Cut sessions into fixed-length windows.
 
-    Each window carries its session's label; since records are per-label
-    runs, a window never straddles a label change.  Stride defaults to the
-    window length (no overlap).
+    Each window carries its session's label as an index into DEFAULT_LABELS;
+    since records are per-label runs, a window never straddles a label
+    change.  Stride defaults to the window length (no overlap).
     """
     width = _samples(sample_rate_hz, seconds, "window")
     stride = (width if stride_seconds is None
               else _samples(sample_rate_hz, stride_seconds, "stride"))
-    label_index = {name: i for i, name in enumerate(labels)}
+    label_index = {name: i for i, name in enumerate(DEFAULT_LABELS)}
     signals, label_ids, users = [], [], []
     for rec in records:
         if rec.label not in label_index:
             raise LabelError(
-                f"label {rec.label!r} not in vocabulary: {', '.join(labels)}"
+                f"label {rec.label!r} not in vocabulary: {', '.join(DEFAULT_LABELS)}"
             )
         for start in range(0, rec.n_rows - width + 1, stride):
             chunk = rec.values[start:start + width].T  # (channels, width)
@@ -248,7 +238,7 @@ def window(records, sample_rate_hz: float, seconds: float = 2.0,
             label_ids.append(label_index[rec.label])
             users.append(rec.user)
     return WindowedDataset(signals, np.asarray(label_ids, dtype=np.int64),
-                           users, tuple(labels))
+                           users, DEFAULT_LABELS)
 
 
 def interpolate_linear(signal: Signal, factor: int) -> Signal:

@@ -66,6 +66,12 @@ INIT_GAIN = 2.0
 # NaN, means training diverged, even where the loss stays finite.
 WEIGHT_LIMIT = float(np.finfo(np.float32).max)
 
+
+def _weights_in_range(weights) -> bool:
+    """False when a weight is NaN or beyond WEIGHT_LIMIT in magnitude."""
+    return all(-WEIGHT_LIMIT <= w.min() and w.max() <= WEIGHT_LIMIT for w in weights)
+
+
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_cuba.c")
 # No -ffast-math or -march=native: without FMA contraction the kernel
 # rounds exactly as the numpy reference does.
@@ -593,8 +599,7 @@ def train(net: CubaNetwork, dataset, cfg: TrainConfig,
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite at epoch {epoch}")
             adam.step(net.weights, grads)
-            if not all(-WEIGHT_LIMIT <= w.min() and w.max() <= WEIGHT_LIMIT
-                       for w in net.weights):
+            if not _weights_in_range(net.weights):
                 raise DivergenceError(f"a weight left the finite float32 range "
                                       f"at epoch {epoch}")
             epoch_loss += loss
@@ -691,9 +696,13 @@ def save_checkpoint(net: CubaNetwork, path, train_config: TrainConfig = None,
 
     Layout: magic, version u16, layer count u8, layer sizes u32, dropout f64,
     per-layer neuron params as 3 x f64, then per-layer weights as
-    little-endian f32 row-major.
+    little-endian f32 row-major.  A NaN weight, or one beyond WEIGHT_LIMIT,
+    raises DivergenceError before anything is written.
     """
     path = os.fspath(path)
+    if not _weights_in_range(net.weights):
+        raise DivergenceError(f"{path}: a weight is NaN or outside the float32 "
+                              "range; nothing written")
     n = net.n_layers
     header = struct.pack(
         f"<4sHB{n + 1}Id{3 * n}d", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, n,
@@ -719,7 +728,8 @@ def load_checkpoint(path):
 
     Returns (net, sidecar dict); the sidecar is empty if its file is absent.
     Fields that parse but hold invalid values (a zero width, a non-positive
-    threshold) raise ParseError, like a sidecar that is not a JSON object.
+    threshold, a weight that is not finite) raise ParseError, like a sidecar
+    that is not a JSON object.
     """
     path = os.fspath(path)
     blob, n_layers, offset = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
@@ -748,4 +758,6 @@ def load_checkpoint(path):
                           dropout_p=dropout_p, weights=weights)
     except ConfigError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if not _weights_in_range(net.weights):
+        raise ParseError(f"{path}: a stored weight is not finite")
     return net, read_sidecar(path + ".json")

@@ -181,6 +181,8 @@ class TestArgumentErrors:
     ENCODE = ["encode", *SYNTH_SMALL, "--scheme", "binary6"]
     TRAIN = ["train", *SYNTH_SMALL, "--scheme", "binary6", "--steps", "5",
              "--epochs", "2", "--batch", "4"]
+    # checked before any input file is read, so it need not exist
+    PERTURB = ["perturb", "missing.spk"]
 
     @pytest.mark.parametrize("args", [
         [*EVALUATE, "--users", "0"],
@@ -196,16 +198,61 @@ class TestArgumentErrors:
         [*TRAIN, "--lr", "inf"],
         [*EVALUATE, "--lr", "nan"],
         [*EVALUATE, "--lr", "inf"],
+        [*PERTURB, "--noise-p", "nan"],
+        [*PERTURB, "--noise-p", "2"],
+        [*PERTURB, "--noise-p", "0.1", "--seed", "-1"],
     ], ids=["no-users", "negative-rate", "zero-duration", "nan-duration",
             "sub-sample-duration", "no-noise-seeds", "negative-noise-seeds",
             "no-schemes", "stride-with-synth", "train-nan-lr", "train-inf-lr",
-            "evaluate-nan-lr", "evaluate-inf-lr"])
+            "evaluate-nan-lr", "evaluate-inf-lr", "perturb-nan-p",
+            "perturb-p-above-one", "perturb-negative-seed"])
     def test_is_config_error(self, args, tmp_path, capsys):
         out = tmp_path / "out"
         assert run([*args, "--out", out]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
-        assert not any(out.rglob("*.*"))
+        assert not out.exists()
+
+
+class TestEmptyInput:
+    """A CSV whose every session is shorter than --duration: each command
+    exits 3 with the loader's one message and writes nothing."""
+
+    @pytest.mark.parametrize("command", (["encode", "--scheme", "binary6"],
+                                         ["train", "--scheme", "binary6"],
+                                         ["evaluate"]), ids=lambda c: c[0])
+    def test_is_data_error(self, command, tmp_path, capsys):
+        # every (user, label) session of this file is 2 s long
+        csv_path = TestCsvNormalization().write_csv(tmp_path / "two.csv", None)
+        out = tmp_path / "out"
+        assert run([command[0], csv_path, "--duration", "3", *command[1:],
+                    "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no 3s window in {csv_path}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+class TestUnusablePaths:
+    """A path that cannot be read or written is a data error (exit 3) with
+    one error line, not a traceback."""
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_directory_given_as_a_spike_file(self, model_dir, tmp_path, capsys):
+        assert run(["infer", model_dir / "checkpoint.cuba", tmp_path]) == 3
+        self.assert_one_error_line(capsys)
+
+    def test_output_directory_that_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(["encode", *SYNTH_SMALL, "--scheme", "binary6",
+                    "--out", out]) == 3
+        self.assert_one_error_line(capsys)
+        assert out.read_text() == ""
 
 
 class TestVersion:
@@ -337,6 +384,8 @@ class TestMalformedDataFiles:
     # CUB1 of a (2, 3) net: magic, version, layer count, two u32 sizes,
     # dropout f64, then the first layer's threshold f64
     CUB_WIDTH, CUB_THRESHOLD = 4 + 2 + 1, 4 + 2 + 1 + 2 * 4 + 8
+    # a two-layer net's first weight: three u32 sizes, dropout, 2 x 3 f64
+    CUB_WEIGHTS_OF_TWO_LAYERS = 4 + 2 + 1 + 3 * 4 + 8 + 2 * 24
 
     @staticmethod
     def spike_copy(spikes_dir, tmp_path):
@@ -392,6 +441,17 @@ class TestMalformedDataFiles:
         path.write_bytes(bytes(blob))
         assert run(["infer", path, spikes_dir / "w00000.spk"]) == 3
         assert message in capsys.readouterr().err
+
+    def test_checkpoint_weight_that_is_nan(self, spikes_dir, tmp_path, capsys):
+        # widths that fit the binary6 spike files (6 trains x 7 channels)
+        path = tmp_path / "m.cuba"
+        save_checkpoint(CubaNetwork((42, 8, 3), dropout_p=0.0, seed=1), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, self.CUB_WEIGHTS_OF_TWO_LAYERS, float("nan"))
+        path.write_bytes(bytes(blob))
+        assert run(["infer", path, spikes_dir / "w00000.spk"]) == 3
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err and captured.out == ""
 
     def test_corrupt_checkpoint_sidecar(self, spikes_dir, tmp_path, capsys):
         path = self.checkpoint(tmp_path)

@@ -202,3 +202,5 @@ class TestRng:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError):
             Rng(-1)
+        with pytest.raises(ConfigError):
+            derive_seed(-1, 0)

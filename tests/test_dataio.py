@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from spikecodec import (
-    CsvSchema,
     EncodingConfig,
     Scheme,
     Signal,
@@ -285,7 +284,6 @@ class TestSpikeFiles:
     def test_default_vocabulary_is_twelve_classes(self):
         assert len(DEFAULT_LABELS) == 12
         assert len(set(DEFAULT_LABELS)) == 12
-        assert CsvSchema().labels == DEFAULT_LABELS
 
 
 class TestFileBytes:

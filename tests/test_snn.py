@@ -33,6 +33,7 @@ from spikecodec.errors import (
     BadMagicError,
     ConfigError,
     DivergenceError,
+    ParseError,
     ShapeError,
     TruncatedPayloadError,
     VersionMismatchError,
@@ -466,6 +467,25 @@ class TestCheckpoint:
         loaded_out, _ = _simulate(loaded, x)
         assert trained_out.any()
         np.testing.assert_array_equal(loaded_out, trained_out)
+
+    @pytest.mark.parametrize("value", (float("nan"), 1e39))
+    def test_weight_float32_cannot_hold_is_not_saved(self, value, tmp_path):
+        net = CubaNetwork((7, 8, 3), dropout_p=0.0, seed=1)
+        net.weights[0][0, 0] = value
+        with pytest.raises(DivergenceError):
+            save_checkpoint(net, tmp_path / "model.cuba")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf")))
+    def test_stored_weight_that_is_not_finite_is_a_parse_error(self, value, tmp_path):
+        path = tmp_path / "model.cuba"
+        save_checkpoint(CubaNetwork((7, 8, 3), dropout_p=0.0, seed=1), path)
+        blob = bytearray(path.read_bytes())
+        # weights[0][0, 0] follows the 75-byte header of a two-layer net
+        struct.pack_into("<f", blob, 75, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="not finite"):
+            load_checkpoint(path)
 
     def test_zero_layers_is_a_shape_error(self, tmp_path):
         path = tmp_path / "empty.cuba"
