@@ -204,8 +204,8 @@ def _holdout_user(dataset: WindowedDataset, holdout_user):
 def cmd_encode(args) -> int:
     dataset = _load_dataset(args)
     config = _config_from_args(args, args.scheme)
-    os.makedirs(args.out, exist_ok=True)
     encoded = encode_dataset(dataset, config)
+    os.makedirs(args.out, exist_ok=True)
     for i, ((tensor, label), user) in enumerate(zip(encoded, dataset.users)):
         metadata = {
             "encoding": config,

@@ -369,6 +369,14 @@ def unpack_header(fmt: str, blob: bytes, offset: int, path: str):
     return struct.unpack_from(fmt, blob, offset), end
 
 
+def expect_end(blob: bytes, offset: int, path: str):
+    """Raise ParseError when blob holds bytes past offset, the end of its
+    last field."""
+    extra = len(blob) - offset
+    if extra > 0:
+        raise ParseError(f"{path}: {extra} extra byte(s) after the last field")
+
+
 def read_sidecar(path: str) -> dict:
     """The JSON object in a sidecar file, or {} when there is no file.
 
@@ -408,7 +416,8 @@ def read_spikes(path):
 
     Returns (SpikeTensor, metadata dict).  Raises BadMagicError,
     VersionMismatchError, TruncatedPayloadError, ShapeError or ParseError on
-    malformed files, including well-formed fields holding invalid values.
+    malformed files, including well-formed fields holding invalid values and
+    bytes after the payload.
     """
     path = os.fspath(path)
     blob, ndim, offset = read_container(path, SPIKE_MAGIC, SPIKE_VERSION)
@@ -423,6 +432,7 @@ def read_spikes(path):
         raise TruncatedPayloadError(
             f"{path}: payload has {len(payload)} of {count} bytes"
         )
+    expect_end(blob, offset + count, path)
     data = np.frombuffer(payload, dtype=np.int8).reshape(dims)
 
     metadata = read_sidecar(_sidecar_path(path))

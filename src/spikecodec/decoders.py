@@ -9,7 +9,6 @@ from a known initial value.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import (
     EncodingConfig,
@@ -42,6 +41,8 @@ def rate_ppf(p, mapping: RateMapping):
     if mapping.kind is Scheme.RATE_UNIFORM:
         out = arr.copy()
     elif mapping.kind is Scheme.RATE_NORMAL:
+        from scipy.special import ndtri
+
         clamped = np.clip(arr, _PPF_CLAMP, 1.0 - _PPF_CLAMP)
         out = np.clip(mapping.mu + np.sqrt(mapping.var) * ndtri(clamped), 0.0, 1.0)
     else:

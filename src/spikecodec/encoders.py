@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import (
     EncodingConfig,
@@ -68,6 +67,8 @@ def map_value_to_rate(v, mapping: RateMapping):
     if mapping.kind is Scheme.RATE_UNIFORM:
         out = arr.copy()
     elif mapping.kind is Scheme.RATE_NORMAL:
+        from scipy.special import ndtr
+
         out = ndtr((arr - mapping.mu) / np.sqrt(mapping.var))
     else:
         b = mapping.beta_shape
@@ -164,12 +165,17 @@ def encode_delta(signal: Signal, thresholds=None, interp_factor: int = 5) -> Spi
 
     Each threshold level owns one train: level i fires +1 when the
     step-to-step difference exceeds T_i and -1 when it drops below -T_i.
+    A signal of fewer than 2 samples has no difference to encode and is a
+    ConfigError.
     """
     from .dataio import interpolate_linear
 
     validate_signal(signal)
     if interp_factor < 1:
         raise ConfigError(f"interp_factor must be >= 1, got {interp_factor}")
+    if signal.n_samples < 2:
+        raise ConfigError("delta modulation needs at least 2 samples per window, "
+                          f"got {signal.n_samples}")
     banks = resolve_threshold_banks(thresholds, signal.n_channels)
     upsampled = interpolate_linear(signal, interp_factor)
     diff = np.diff(upsampled.data, axis=1)  # (channels, timesteps)

@@ -43,7 +43,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import Rng, check_field_types
-from .dataio import atomic_write, read_container, read_sidecar, unpack_header, write_json
+from .dataio import (
+    atomic_write,
+    expect_end,
+    read_container,
+    read_sidecar,
+    unpack_header,
+    write_json,
+)
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -265,12 +272,15 @@ class Classification:
 def _stack_batch(tensors) -> np.ndarray:
     """The network's (B, F, T) float64 input block, the one place that
     knows its layout: each SpikeTensor's trains and channels flatten,
-    train-major, to F rows.  Tensors of differing shapes are a ShapeError."""
+    train-major, to F rows.  Tensors of differing shapes, or of no
+    timesteps, are a ShapeError."""
     feats = [t.data.reshape(t.n_trains * t.n_channels, t.n_timesteps)
              .astype(np.float64) for t in tensors]
     shapes = {f.shape for f in feats}
     if len(shapes) != 1:
         raise ShapeError(f"batch mixes input shapes: {sorted(shapes)}")
+    if feats[0].shape[1] == 0:
+        raise ShapeError("spike tensors have no timesteps")
     return np.stack(feats)  # (B, F, T)
 
 
@@ -728,8 +738,8 @@ def load_checkpoint(path):
 
     Returns (net, sidecar dict); the sidecar is empty if its file is absent.
     Fields that parse but hold invalid values (a zero width, a non-positive
-    threshold, a weight that is not finite) raise ParseError, like a sidecar
-    that is not a JSON object.
+    threshold, a weight that is not finite) raise ParseError, like bytes
+    after the last weight and a sidecar that is not a JSON object.
     """
     path = os.fspath(path)
     blob, n_layers, offset = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
@@ -758,6 +768,7 @@ def load_checkpoint(path):
                           dropout_p=dropout_p, weights=weights)
     except ConfigError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    expect_end(blob, offset, path)
     if not _weights_in_range(net.weights):
         raise ParseError(f"{path}: a stored weight is not finite")
     return net, read_sidecar(path + ".json")

@@ -23,6 +23,14 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def assert_one_error_line(capsys, text=""):
+    """Nothing on stdout; on stderr exactly one `error:` line, holding text."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert text in captured.err
+
+
 class TestEncodeCommand:
     def test_ttfs_reports_exact_afr(self, tmp_path, capsys):
         out = tmp_path / "enc"
@@ -183,6 +191,8 @@ class TestArgumentErrors:
              "--epochs", "2", "--batch", "4"]
     # checked before any input file is read, so it need not exist
     PERTURB = ["perturb", "missing.spk"]
+    # one 20 Hz sample per window: nothing for delta modulation to encode
+    ONE_SAMPLE = ["--duration", "0.05"]
 
     @pytest.mark.parametrize("args", [
         [*EVALUATE, "--users", "0"],
@@ -201,11 +211,16 @@ class TestArgumentErrors:
         [*PERTURB, "--noise-p", "nan"],
         [*PERTURB, "--noise-p", "2"],
         [*PERTURB, "--noise-p", "0.1", "--seed", "-1"],
+        ["encode", *SYNTH_SMALL, *ONE_SAMPLE, "--scheme", "delta-mod"],
+        ["train", *SYNTH_SMALL, *ONE_SAMPLE, "--scheme", "delta-mod", "--epochs", "1"],
+        [*EVALUATE, *ONE_SAMPLE, "--schemes", "delta-mod"],
     ], ids=["no-users", "negative-rate", "zero-duration", "nan-duration",
             "sub-sample-duration", "no-noise-seeds", "negative-noise-seeds",
             "no-schemes", "stride-with-synth", "train-nan-lr", "train-inf-lr",
             "evaluate-nan-lr", "evaluate-inf-lr", "perturb-nan-p",
-            "perturb-p-above-one", "perturb-negative-seed"])
+            "perturb-p-above-one", "perturb-negative-seed",
+            "encode-delta-one-sample", "train-delta-one-sample",
+            "evaluate-delta-one-sample"])
     def test_is_config_error(self, args, tmp_path, capsys):
         out = tmp_path / "out"
         assert run([*args, "--out", out]) == 2
@@ -237,21 +252,16 @@ class TestUnusablePaths:
     """A path that cannot be read or written is a data error (exit 3) with
     one error line, not a traceback."""
 
-    @staticmethod
-    def assert_one_error_line(capsys):
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-
     def test_directory_given_as_a_spike_file(self, model_dir, tmp_path, capsys):
         assert run(["infer", model_dir / "checkpoint.cuba", tmp_path]) == 3
-        self.assert_one_error_line(capsys)
+        assert_one_error_line(capsys)
 
     def test_output_directory_that_is_a_file(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("")
         assert run(["encode", *SYNTH_SMALL, "--scheme", "binary6",
                     "--out", out]) == 3
-        self.assert_one_error_line(capsys)
+        assert_one_error_line(capsys)
         assert out.read_text() == ""
 
 
@@ -412,6 +422,30 @@ class TestMalformedDataFiles:
         path.write_bytes(bytes(blob))
         assert self.perturb(path, tmp_path) == 3
         assert "time_step_ms" in capsys.readouterr().err
+
+    def test_spike_file_with_bytes_after_the_payload(self, tmp_path, capsys):
+        path = tmp_path / "w.spk"
+        path.write_bytes(b"SPK1" + struct.pack("<HB3Id", 1, 3, 1, 2, 2, 1.0)
+                         + bytes([1, 0, 0, 1]) + b"\x00")
+        assert run(["infer", self.checkpoint(tmp_path), path]) == 3
+        assert_one_error_line(capsys, "1 extra byte")
+        assert self.perturb(path, tmp_path) == 3
+        assert_one_error_line(capsys, "1 extra byte")
+        assert not (tmp_path / "o" / "w.spk").exists()
+
+    def test_checkpoint_with_bytes_after_the_last_weight(self, spikes_dir, tmp_path,
+                                                         capsys):
+        path = tmp_path / "m.cuba"
+        save_checkpoint(CubaNetwork((42, 3), dropout_p=0.0, seed=1), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        assert run(["infer", path, spikes_dir / "w00000.spk"]) == 3
+        assert_one_error_line(capsys, "1 extra byte")
+
+    def test_spike_file_of_no_timesteps(self, tmp_path, capsys):
+        path = tmp_path / "w.spk"
+        path.write_bytes(b"SPK1" + struct.pack("<HB3Id", 1, 3, 1, 2, 0, 1.0))
+        assert run(["infer", self.checkpoint(tmp_path), path]) == 3
+        assert_one_error_line(capsys, "no timesteps")
 
     def test_sidecar_window_steps_of_zero(self, spikes_dir, tmp_path, capsys):
         path = self.spike_copy(spikes_dir, tmp_path)

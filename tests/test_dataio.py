@@ -266,6 +266,14 @@ class TestSpikeFiles:
             with pytest.raises(TruncatedPayloadError):
                 read_spikes(path)
 
+    def test_bytes_after_the_payload_are_a_parse_error(self, tmp_path):
+        tensor = SpikeTensor(np.ones((1, 7, 2), dtype=np.int8), 1.0)
+        path = tmp_path / "t.spk"
+        write_spikes(tensor, {}, path)
+        path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
+        with pytest.raises(ParseError, match="3 extra byte"):
+            read_spikes(path)
+
     def test_dimension_count_other_than_three_is_a_shape_error(self, tmp_path):
         # 65 empty dimensions: past numpy's dimension limit, zero bytes long
         path = tmp_path / "t.spk"

@@ -246,6 +246,13 @@ class TestEncodeDelta:
         with pytest.raises(ThresholdOrderError):
             encode_delta(sig, thresholds=(0.2, 0.1))
 
+    @pytest.mark.parametrize("interp_factor", (1, 5))
+    def test_single_sample_is_a_config_error(self, interp_factor):
+        # one sample has no step-to-step difference: 0 timesteps otherwise
+        with pytest.raises(ConfigError, match="at least 2 samples"):
+            encode_delta(Signal(np.full((7, 1), 0.4), 20.0),
+                         interp_factor=interp_factor)
+
 
 class TestEncodeDispatcher:
     def test_every_scheme_produces_a_tensor(self):

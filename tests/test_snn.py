@@ -238,6 +238,8 @@ class TestClassify:
                                                   tensor.data[train_i, channel])
         with pytest.raises(ShapeError):
             _stack_batch([tensors[0], SpikeTensor(data[:, :, :3], 1.0)])
+        with pytest.raises(ShapeError, match="no timesteps"):
+            _stack_batch([SpikeTensor(data[:, :, :0], 1.0)])
 
 
 class TestTraining:
@@ -407,6 +409,13 @@ class TestCheckpoint:
         blob[4:6] = (99).to_bytes(2, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionMismatchError):
+            load_checkpoint(path)
+
+    def test_bytes_after_the_last_weight_are_a_parse_error(self, tmp_path):
+        path = tmp_path / "model.cuba"
+        save_checkpoint(CubaNetwork((4, 8, 3), dropout_p=0.0, seed=1), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ParseError, match="1 extra byte"):
             load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path):
