@@ -4,8 +4,8 @@
  * recurrences of snn._lif_forward and snn._lif_backward, written with the
  * same operations in the same order, so that built without floating-point
  * contraction (-ffp-contract=off) they give bitwise the same results.
- * u and v (forward) and cu and cvp (backward) are zeroed state of width
- * elements.
+ * state is a zeroed (2, width) block: u and v (forward), or cu and cvp
+ * (backward), one row each.
  *
  * The training tape holds only each layer's input and pre-reset
  * potentials: the forward pass writes the spikes times the dropout mask
@@ -45,10 +45,11 @@ INLINE void forward_loop(double *restrict drive, double *restrict v_rec,
  * times mask (a (B, n) dropout mask) when it is not NULL; v_rec, if not
  * NULL, receives the pre-reset potentials. */
 void cuba_forward(double *restrict drive, double *restrict v_rec,
-                  const double *restrict mask, double *restrict u,
-                  double *restrict v, long t_len, long width, double au,
-                  double av, double thr)
+                  const double *restrict mask, double *restrict state,
+                  long t_len, long width, double au, double av, double thr)
 {
+    double *u = state, *v = state + width;
+
     if (v_rec && mask)
         forward_loop(drive, v_rec, mask, u, v, t_len, width, au, av, thr);
     else if (v_rec)
@@ -62,14 +63,14 @@ void cuba_forward(double *restrict drive, double *restrict v_rec,
 /* g_s and g_u carry no restrict: g_u may be g_s itself, each element of
  * which is read before the same element of g_u is written. */
 INLINE void backward_loop(const double *restrict v, const double *g_s,
-                          long gs_step, const double *restrict mask,
-                          double *g_u, double *restrict cu,
-                          double *restrict cvp, long t_len, long width,
-                          double au, double av, double thr, double slope)
+                          const double *restrict mask, double *g_u,
+                          double *restrict cu, double *restrict cvp,
+                          long t_len, long width, double au, double av,
+                          double thr, double slope)
 {
     for (long t = t_len - 1; t >= 0; t--) {
         const double *restrict vt = v + t * width;
-        const double *gt = g_s + t * gs_step;
+        const double *gt = g_s + t * width;
         double *ut = g_u + t * width;
         for (long i = 0; i < width; i++) {
             double a = 1.0 + slope * fabs(vt[i] - thr);
@@ -85,19 +86,20 @@ INLINE void backward_loop(const double *restrict v, const double *g_s,
     }
 }
 
-/* Reverse recurrence with the fast-sigmoid surrogate.  g_s advances by
- * gs_step per step (0 broadcasts one row over time) and is multiplied by
- * mask when mask is not NULL; g_u receives the current gradients and may
- * alias g_s when gs_step is width. */
-void cuba_backward(const double *restrict v, const double *g_s, long gs_step,
+/* Reverse recurrence with the fast-sigmoid surrogate.  g_s, times mask
+ * when mask is not NULL, is the spike gradient; g_u receives the current
+ * gradients and may be g_s itself. */
+void cuba_backward(const double *restrict v, const double *g_s,
                    const double *restrict mask, double *g_u,
-                   double *restrict cu, double *restrict cvp, long t_len,
-                   long width, double au, double av, double thr, double slope)
+                   double *restrict state, long t_len, long width, double au,
+                   double av, double thr, double slope)
 {
+    double *cu = state, *cvp = state + width;
+
     if (mask)
-        backward_loop(v, g_s, gs_step, mask, g_u, cu, cvp, t_len, width, au,
-                      av, thr, slope);
+        backward_loop(v, g_s, mask, g_u, cu, cvp, t_len, width, au, av, thr,
+                      slope);
     else
-        backward_loop(v, g_s, gs_step, NULL, g_u, cu, cvp, t_len, width, au,
-                      av, thr, slope);
+        backward_loop(v, g_s, NULL, g_u, cu, cvp, t_len, width, au, av, thr,
+                      slope);
 }

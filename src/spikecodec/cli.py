@@ -342,9 +342,10 @@ def cmd_perturb(args) -> int:
     if shared:
         raise ConfigError(f"inputs share the output name(s) {', '.join(shared)} "
                           f"in {args.out}")
-    # a bad --noise-p or --seed is a ConfigError before --out exists
+    # every input is read and perturbed before --out exists, so a bad
+    # argument or input file leaves nothing behind
     spec = NoiseSpec(args.noise_p, seed=derive_seed(args.seed, 0))
-    os.makedirs(args.out, exist_ok=True)
+    outputs = []
     for i, (path, name) in enumerate(zip(args.spikes, names)):
         tensor, metadata = read_spikes(path)
         if args.mode == "auto":
@@ -355,10 +356,12 @@ def cmd_perturb(args) -> int:
             mode = NoiseMode(args.mode)
         noisy = inject_noise(tensor, replace(spec, seed=derive_seed(args.seed, i),
                                              mode=mode))
-        out_path = os.path.join(args.out, name)
         metadata = dict(metadata)
         metadata["noise"] = {"error_probability": args.noise_p,
                              "seed": args.seed, "mode": mode.value}
+        outputs.append((noisy, metadata, os.path.join(args.out, name)))
+    os.makedirs(args.out, exist_ok=True)
+    for noisy, metadata, out_path in outputs:
         write_spikes(noisy, metadata, out_path)
     print(f"perturbed {len(args.spikes)} file(s) at p={args.noise_p}")
     return 0

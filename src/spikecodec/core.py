@@ -114,8 +114,8 @@ class SpikeTensor:
     """A ternary spike train tensor of shape (trains, channels, timesteps).
 
     time_step_ms is the interval between adjacent possible spike positions;
-    window_steps records how many positions each original sample occupies
-    (1 for parallel schemes such as binary encoding).
+    window_steps, an integer >= 1, records how many positions each original
+    sample occupies (1 for parallel schemes such as binary encoding).
     """
 
     data: np.ndarray
@@ -137,9 +137,9 @@ class SpikeTensor:
         if not 0 < self.time_step_ms < np.inf:
             raise ConfigError(f"time_step_ms must be positive and finite, "
                               f"got {self.time_step_ms}")
+        check_field_types(self, ("window_steps",), ())
         if self.window_steps < 1:
             raise ConfigError(f"window_steps must be >= 1, got {self.window_steps}")
-        object.__setattr__(self, "window_steps", int(self.window_steps))
 
     @property
     def n_trains(self) -> int:

@@ -437,8 +437,8 @@ def read_spikes(path):
 
     metadata = read_sidecar(_sidecar_path(path))
     try:
-        window_steps = int(metadata.pop("window_steps", 1))
-        tensor = SpikeTensor(data, time_step_ms=time_step_ms, window_steps=window_steps)
-    except (ConfigError, TypeError, ValueError, OverflowError) as exc:
+        tensor = SpikeTensor(data, time_step_ms=time_step_ms,
+                             window_steps=metadata.pop("window_steps", 1))
+    except ConfigError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return tensor, metadata

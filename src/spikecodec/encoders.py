@@ -168,6 +168,7 @@ def encode_delta(signal: Signal, thresholds=None, interp_factor: int = 5) -> Spi
     A signal of fewer than 2 samples has no difference to encode and is a
     ConfigError.
     """
+    # per call, not at module top: bench/run.py's tracer rebinds dataio.interpolate_linear
     from .dataio import interpolate_linear
 
     validate_signal(signal)

@@ -115,6 +115,7 @@ def robustness_sweep(net, dataset, p_list, mode: NoiseMode, seed: int = 0, *,
     sweep is reproducible and independent of evaluation order.  Drops are
     taken from baseline_accuracy, the network's clean accuracy on dataset.
     """
+    # per call, not at module top: bench/run.py's tracer rebinds snn.classify_batch
     from .snn import classify_batch
 
     tensors = [t for t, _ in dataset]

@@ -119,10 +119,9 @@ def _load_kernel():
     except (OSError, subprocess.SubprocessError):
         return None
     ptr, n, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    lib.cuba_forward.argtypes = [ptr, ptr, ptr, ptr, ptr, n, n, real, real, real]
+    lib.cuba_forward.argtypes = [ptr, ptr, ptr, ptr, n, n, real, real, real]
     lib.cuba_forward.restype = None
-    lib.cuba_backward.argtypes = [ptr, ptr, n, ptr, ptr, ptr, ptr,
-                                  n, n, real, real, real, real]
+    lib.cuba_backward.argtypes = [ptr, ptr, ptr, ptr, ptr, n, n, real, real, real, real]
     lib.cuba_backward.restype = None
     return lib
 
@@ -130,14 +129,11 @@ def _load_kernel():
 _kernel = functools.cache(_load_kernel)
 
 
-def _ptr(a: np.ndarray, shape, broadcast_time: bool = False) -> int:
+def _ptr(a: np.ndarray, shape) -> int:
     """Address of a float64 array laid out C-contiguously as shape, for the
-    kernel; with broadcast_time, a time stride of 0 (one row repeated over
-    time) is accepted too."""
-    ok = a.dtype == np.float64 and a.shape == tuple(shape) and (
-        a.flags.c_contiguous
-        or (broadcast_time and a.strides[0] == 0 and a[0].flags.c_contiguous))
-    if not ok:
+    kernel."""
+    if not (a.dtype == np.float64 and a.shape == tuple(shape)
+            and a.flags.c_contiguous):
         raise ShapeError(f"kernel buffer {a.shape} {a.dtype} strides {a.strides} "
                          f"is not a C-contiguous float64 block of shape {tuple(shape)}")
     return a.ctypes.data
@@ -239,15 +235,6 @@ class CubaNetwork:
     def n_classes(self) -> int:
         return self.layer_sizes[-1]
 
-    def copy_weights(self):
-        return [w.copy() for w in self.weights]
-
-    def set_weights(self, weights):
-        for w, new in zip(self.weights, weights):
-            if w.shape != new.shape:
-                raise ShapeError(f"weight shape {new.shape} != {w.shape}")
-        self.weights = [np.array(w, dtype=np.float64) for w in weights]
-
 
 def _surrogate_grad(v: np.ndarray, params: CubaParams, slope: float) -> np.ndarray:
     """Fast-sigmoid surrogate for the threshold derivative."""
@@ -321,7 +308,7 @@ def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
         kernel.cuba_forward(_ptr(drive, drive.shape),
                             None if v_rec is None else _ptr(v_rec, drive.shape),
                             None if mask is None else _ptr(mask, (b, n)),
-                            state.ctypes.data, state[1].ctypes.data, t_len, b * n,
+                            _ptr(state, (2, b * n)), t_len, b * n,
                             1.0 - p.current_decay, 1.0 - p.voltage_decay,
                             p.threshold)
         return
@@ -432,9 +419,9 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
     none is given).  Layer li's current gradients overwrite its spike
     gradients in block ("g", li % 2), and the input gradient goes to the
     other parity block, so two blocks, as wide as the widest layers of each
-    parity, serve the whole pass; the output layer's spike gradient is one
-    row broadcast over time and writes its current gradients to a block of
-    their own.  The returned dW are new arrays.
+    parity, serve the whole pass; the output layer's spike gradient, the
+    same g_rates / T at every step, is written into its parity block too.
+    The returned dW are new arrays.
     """
     b, _, t_len = x.shape
     work = work or _Workspace()
@@ -447,16 +434,16 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
     g_rates = 2.0 * diff / diff.size
 
     grads = [None] * net.n_layers
-    g_s = np.broadcast_to(g_rates / t_len, (t_len,) + g_rates.shape)
+    g_s = work.take(("g", (net.n_layers - 1) % 2), out.shape)
+    g_s[...] = g_rates / t_len
     for li in range(net.n_layers - 1, -1, -1):
         layer = tape[li]
         w = net.weights[li]
         n_out, n_in = w.shape
-        # below the output layer, the same block g_s was written into
-        g_u = work.take(("g", li % 2), layer["v"].shape)
-        _lif_backward(layer["v"], g_s, _dropout_mask(net, dropout_masks, li), g_u,
+        # the current gradients overwrite the spike gradients in place
+        _lif_backward(layer["v"], g_s, _dropout_mask(net, dropout_masks, li), g_s,
                       net.params[li], slope, soft)
-        g_u = g_u.reshape(t_len * b, n_out)
+        g_u = g_s.reshape(t_len * b, n_out)
         x_in = layer["x"].reshape(t_len * b, n_in)
         # OpenBLAS gives bitwise the same dW either way; the transposed form
         # is faster for an input narrower than the layer (2.1 against 6.3 ms
@@ -474,20 +461,16 @@ def _lif_backward(v_seq, g_s, mask, g_u, p: CubaParams, slope: float, soft: bool
     (T, B, n) block into g_u, given the pre-reset potentials v_seq and the
     spike gradients g_s (times the dropout mask, if any).  The spikes are
     re-derived from v_seq as _lif_forward made them.  Dispatched like
-    _lif_forward; g_s may broadcast one (B, n) row over time, and g_u may
-    be g_s itself."""
+    _lif_forward; g_u may be g_s itself."""
     t_len, b, n = g_u.shape
     kernel = None if soft else _kernel()
     if kernel is not None:
-        carry = np.zeros((2, b * n))
-        kernel.cuba_backward(_ptr(v_seq, g_u.shape),
-                             _ptr(g_s, g_u.shape, broadcast_time=True),
-                             g_s.strides[0] // g_s.itemsize,
+        state = np.zeros((2, b * n))
+        kernel.cuba_backward(_ptr(v_seq, g_u.shape), _ptr(g_s, g_u.shape),
                              None if mask is None else _ptr(mask, (b, n)),
-                             _ptr(g_u, g_u.shape), carry.ctypes.data,
-                             carry[1].ctypes.data, t_len, b * n,
-                             1.0 - p.current_decay, 1.0 - p.voltage_decay,
-                             p.threshold, slope)
+                             _ptr(g_u, g_u.shape), _ptr(state, (2, b * n)),
+                             t_len, b * n, 1.0 - p.current_decay,
+                             1.0 - p.voltage_decay, p.threshold, slope)
         return
     au = 1.0 - p.current_decay
     av = 1.0 - p.voltage_decay
@@ -583,7 +566,7 @@ def train(net: CubaNetwork, dataset, cfg: TrainConfig,
     history = []
     best_acc = -1.0
     best_epoch = -1
-    best_weights = net.copy_weights()
+    best_weights = [w.copy() for w in net.weights]
     n = x_train.shape[0]
     work = _Workspace()
 
@@ -623,8 +606,8 @@ def train(net: CubaNetwork, dataset, cfg: TrainConfig,
         if test_acc > best_acc:
             best_acc = test_acc
             best_epoch = epoch
-            best_weights = net.copy_weights()
-    net.set_weights(best_weights)
+            best_weights = [w.copy() for w in net.weights]
+    net.weights = best_weights
     return TrainResult(net=net, history=history, best_epoch=best_epoch,
                        best_test_accuracy=best_acc)
 
@@ -700,6 +683,13 @@ def dataset_fingerprint(dataset) -> str:
     return h.hexdigest()[:16]
 
 
+def _header_layout(n_layers: int) -> str:
+    """struct format of the CUB1 header after the magic, version and layer
+    count: the layer sizes, the dropout probability and three neuron
+    constants per layer."""
+    return f"{n_layers + 1}Id{3 * n_layers}d"
+
+
 def save_checkpoint(net: CubaNetwork, path, train_config: TrainConfig = None,
                     sidecar_extra: dict = None):
     """Write a versioned binary checkpoint plus a JSON sidecar.
@@ -715,7 +705,7 @@ def save_checkpoint(net: CubaNetwork, path, train_config: TrainConfig = None,
                               "range; nothing written")
     n = net.n_layers
     header = struct.pack(
-        f"<4sHB{n + 1}Id{3 * n}d", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, n,
+        "<4sHB" + _header_layout(n), CHECKPOINT_MAGIC, CHECKPOINT_VERSION, n,
         *net.layer_sizes, net.dropout_p,
         *(c for p in net.params for c in (p.threshold, p.current_decay, p.voltage_decay)))
     atomic_write(path, header + b"".join(
@@ -745,12 +735,9 @@ def load_checkpoint(path):
     blob, n_layers, offset = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     if n_layers == 0:
         raise ShapeError(f"{path}: checkpoint has no layers")
-    sizes, offset = unpack_header(f"<{n_layers + 1}I", blob, offset, path)
-    (dropout_p,), offset = unpack_header("<d", blob, offset, path)
-    constants = []
-    for _ in range(n_layers):
-        layer_constants, offset = unpack_header("<ddd", blob, offset, path)
-        constants.append(layer_constants)
+    fields, offset = unpack_header("<" + _header_layout(n_layers), blob, offset, path)
+    sizes, dropout_p = fields[:n_layers + 1], fields[n_layers + 1]
+    constants = fields[n_layers + 2:]
     weights = []
     for i in range(n_layers):
         count = sizes[i + 1] * sizes[i]
@@ -764,7 +751,8 @@ def load_checkpoint(path):
             sizes[i + 1], sizes[i]).astype(np.float64))
         offset += nbytes
     try:
-        net = CubaNetwork(sizes, params=[CubaParams(*c) for c in constants],
+        net = CubaNetwork(sizes, params=[CubaParams(*constants[3 * i:3 * i + 3])
+                                         for i in range(n_layers)],
                           dropout_p=dropout_p, weights=weights)
     except ConfigError as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -455,6 +455,36 @@ class TestMalformedDataFiles:
         assert self.perturb(path, tmp_path) == 3
         assert "window_steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", (2.7, "5", True))
+    def test_sidecar_window_steps_not_an_integer(self, value, spikes_dir, tmp_path,
+                                                 capsys):
+        path = self.spike_copy(spikes_dir, tmp_path)
+        sidecar = json.loads((tmp_path / "w.json").read_text())
+        sidecar["window_steps"] = value
+        (tmp_path / "w.json").write_text(json.dumps(sidecar))
+        assert run(["infer", self.checkpoint(tmp_path), path]) == 3
+        assert_one_error_line(capsys, "window_steps must be an integer")
+
+    def test_perturb_of_a_malformed_file_creates_no_output(self, tmp_path, capsys):
+        path = tmp_path / "trail.spk"
+        path.write_bytes(b"SPK1" + struct.pack("<HB3Id", 1, 3, 1, 2, 2, 1.0)
+                         + bytes([1, 0, 0, 1]) + b"\x00")
+        assert run(["perturb", path, "--noise-p", "0.1", "--out", tmp_path / "pp"]) == 3
+        assert_one_error_line(capsys, "1 extra byte")
+        assert not (tmp_path / "pp").exists()
+
+    def test_perturb_writes_nothing_when_a_later_input_is_bad(self, spikes_dir,
+                                                              tmp_path, capsys):
+        good = tmp_path / "good.spk"
+        good.write_bytes((spikes_dir / "w00000.spk").read_bytes())
+        bad = tmp_path / "bad.spk"
+        bad.write_bytes(good.read_bytes())
+        (tmp_path / "bad.json").write_text(json.dumps({"encoding": {"scheme": "morse"}}))
+        assert run(["perturb", good, bad, "--noise-p", "0.1",
+                    "--out", tmp_path / "pq"]) == 3
+        assert_one_error_line(capsys, "unknown scheme")
+        assert not (tmp_path / "pq").exists()
+
     def test_corrupt_spike_sidecar(self, spikes_dir, tmp_path, capsys):
         path = self.spike_copy(spikes_dir, tmp_path)
         (tmp_path / "w.json").write_text("{")

@@ -86,6 +86,16 @@ class TestSpikeTensor:
         assert t.shape == (2, 7, 10)
         assert (t.n_trains, t.n_channels, t.n_timesteps) == (2, 7, 10)
 
+    @pytest.mark.parametrize("steps", (2.7, 2.0, "5", True))
+    def test_window_steps_must_be_an_integer(self, steps):
+        with pytest.raises(ConfigError, match="window_steps must be an integer"):
+            SpikeTensor(np.zeros((1, 1, 4), dtype=np.int8), 1.0, window_steps=steps)
+
+    def test_numpy_integer_window_steps_stored_as_int(self):
+        t = SpikeTensor(np.zeros((1, 1, 4), dtype=np.int8), 1.0,
+                        window_steps=np.int64(3))
+        assert type(t.window_steps) is int and t.window_steps == 3
+
     def test_negative_values_allowed(self):
         data = np.zeros((1, 1, 4), dtype=np.int8)
         data[0, 0, 1] = -1

@@ -231,6 +231,14 @@ class TestSpikeFiles:
         sidecar = json.loads((tmp_path / "t.json").read_text())
         assert sidecar["window_steps"] == 5
 
+    @pytest.mark.parametrize("steps", (2.7, "5", True))
+    def test_sidecar_window_steps_not_an_integer(self, steps, tmp_path):
+        path = tmp_path / "t.spk"
+        write_spikes(SpikeTensor(np.zeros((1, 1, 3), dtype=np.int8), 1.0, 5), {}, path)
+        (tmp_path / "t.json").write_text(json.dumps({"window_steps": steps}))
+        with pytest.raises(ParseError, match="window_steps must be an integer"):
+            read_spikes(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.spk"
         path.write_bytes(b"JUNK" + b"\x00" * 32)

@@ -633,7 +633,6 @@ class TestCompiledKernel:
         block = np.zeros((5, 2, 3))
         assert snn._ptr(block, (5, 2, 3)) == block.ctypes.data
         row = np.broadcast_to(np.zeros((2, 3)), (5, 2, 3))
-        assert snn._ptr(row, (5, 2, 3), broadcast_time=True) == row.ctypes.data
         for bad, shape in ((block[:, :, :2], (5, 2, 2)), (block, (5, 3, 2)),
                            (block.astype(np.float32), (5, 2, 3)), (row, (5, 2, 3))):
             with pytest.raises(ShapeError):
