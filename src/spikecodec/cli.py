@@ -25,6 +25,7 @@ from .dataio import (
     load_csv,
     normalize,
     read_spikes,
+    remove_spikes,
     synth_dataset,
     window,
     write_json,
@@ -361,8 +362,16 @@ def cmd_perturb(args) -> int:
                              "seed": args.seed, "mode": mode.value}
         outputs.append((noisy, metadata, os.path.join(args.out, name)))
     os.makedirs(args.out, exist_ok=True)
-    for noisy, metadata, out_path in outputs:
-        write_spikes(noisy, metadata, out_path)
+    written = []
+    try:
+        for noisy, metadata, out_path in outputs:
+            write_spikes(noisy, metadata, out_path)
+            written.append(out_path)
+    except BaseException:
+        # a failed write leaves none of this call's outputs behind
+        for out_path in written:
+            remove_spikes(out_path)
+        raise
     print(f"perturbed {len(args.spikes)} file(s) at p={args.noise_p}")
     return 0
 

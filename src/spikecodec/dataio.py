@@ -4,7 +4,10 @@ dataset generator, and the SPK1 binary spike-file format."""
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -76,11 +79,14 @@ class SessionRecord:
 def load_csv(path) -> list:
     """Parse a sensor CSV into session records.
 
-    The layout is fixed: the DEFAULT_CHANNELS columns, "label" (one of
-    DEFAULT_LABELS) and "user".  Rows are grouped into a new record whenever
-    the user or label changes.  Malformed cells raise ParseError with the
-    offending line number (1-based, header included); unknown labels raise
-    LabelError listing the vocabulary.
+    The file is UTF-8 text, with or without the byte order mark that Excel
+    writes.  The layout is fixed: the DEFAULT_CHANNELS columns, "label" (one
+    of DEFAULT_LABELS) and "user".  Rows are grouped into a new record
+    whenever the user or label changes.  A file that is not UTF-8, a row
+    with more or fewer cells than the header, a sensor cell that is not a
+    finite number, and a row the csv module cannot parse raise ParseError
+    with the offending line number (1-based, header included); unknown
+    labels raise LabelError listing the vocabulary.
     """
     path = os.fspath(path)
     records = []
@@ -92,29 +98,48 @@ def load_csv(path) -> list:
             records.append(SessionRecord(np.array(rows), current[1], current[0]))
             rows.clear()
 
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+    with open(path, "rb") as fh:
+        blob = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = blob[:exc.start].count(b"\n") + 1
+        raise ParseError(f"{path}: line {line_no}: not UTF-8 text") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
             raise ParseError(f"{path}: empty file")
+        column = {name: i for i, name in enumerate(header)}
         for col in (*DEFAULT_CHANNELS, "label", "user"):
-            if col not in reader.fieldnames:
+            if col not in column:
                 raise MissingColumnError(f"{path}: missing column {col!r}")
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            if not row:
+                continue  # a blank line
+            line_no = reader.line_num
+            if len(row) != len(header):
+                raise ParseError(f"{path}: line {line_no}: {len(row)} cells where "
+                                 f"the header has {len(header)}")
             try:
-                sensors = [float(row[c]) for c in DEFAULT_CHANNELS]
-            except (TypeError, ValueError) as exc:
+                sensors = [float(row[column[c]]) for c in DEFAULT_CHANNELS]
+            except ValueError as exc:
                 raise ParseError(f"{path}: line {line_no}: non-numeric sensor cell") from exc
-            label = row["label"]
+            if not all(map(math.isfinite, sensors)):
+                raise ParseError(f"{path}: line {line_no}: non-finite sensor cell")
+            label = row[column["label"]]
             if label not in DEFAULT_LABELS:
                 raise LabelError(
                     f"{path}: line {line_no}: unknown label {label!r}; "
                     f"vocabulary: {', '.join(DEFAULT_LABELS)}"
                 )
-            user = row["user"]
+            user = row[column["user"]]
             if current != (user, label):
                 flush()
                 current = (user, label)
             rows.append(sensors)
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
     flush()
     return records
 
@@ -317,12 +342,18 @@ def synth_dataset(n_classes: int, samples_per_class: int, seed: int = 0,
 
 def atomic_write(path, payload: bytes):
     """Write payload to a sibling .tmp file, then rename it onto path: a
-    reader sees the old file or the new one, never part of one."""
+    reader sees the old file or the new one, never part of one.  When the
+    write or the rename fails, the .tmp file is removed."""
     path = os.fspath(path)
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_json(path, obj):
@@ -350,7 +381,17 @@ def write_spikes(tensor: SpikeTensor, metadata: dict, path):
     if isinstance(sidecar.get("encoding"), EncodingConfig):
         sidecar["encoding"] = sidecar["encoding"].to_dict()
     sidecar["window_steps"] = tensor.window_steps
-    write_json(_sidecar_path(path), sidecar)
+    try:
+        write_json(_sidecar_path(path), sidecar)
+    except BaseException:
+        os.unlink(path)  # no spike file without its sidecar
+        raise
+
+
+def remove_spikes(path):
+    """Delete a spike file written by write_spikes and its sidecar."""
+    os.unlink(path)
+    os.unlink(_sidecar_path(path))
 
 
 def _sidecar_path(path: str) -> str:

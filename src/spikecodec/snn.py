@@ -121,7 +121,7 @@ def _load_kernel():
     ptr, n, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     lib.cuba_forward.argtypes = [ptr, ptr, ptr, ptr, n, n, real, real, real]
     lib.cuba_forward.restype = None
-    lib.cuba_backward.argtypes = [ptr, ptr, ptr, ptr, ptr, n, n, real, real, real, real]
+    lib.cuba_backward.argtypes = [ptr, ptr, ptr, ptr, n, n, real, real, real, real]
     lib.cuba_backward.restype = None
     return lib
 
@@ -302,9 +302,9 @@ def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
     one; the numpy loop below is the reference it matches bit for bit.
     """
     t_len, b, n = drive.shape
+    state = np.zeros((2, b * n))
     kernel = None if soft else _kernel()
     if kernel is not None:
-        state = np.zeros((2, b * n))
         kernel.cuba_forward(_ptr(drive, drive.shape),
                             None if v_rec is None else _ptr(v_rec, drive.shape),
                             None if mask is None else _ptr(mask, (b, n)),
@@ -314,18 +314,17 @@ def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
         return
     au = 1.0 - p.current_decay
     av = 1.0 - p.voltage_decay
-    u = np.zeros((b, n))
-    v = np.zeros((b, n))
+    u, v = state.reshape(2, b, n)
     for t in range(t_len):
-        u = au * u + drive[t]
-        v = av * v + u
+        u[...] = au * u + drive[t]
+        v[...] = av * v + u
         if soft:
             s = _soft_spike(v, p, slope)
         else:
             s = (v >= p.threshold).astype(np.float64)
         if v_rec is not None:
             v_rec[t] = v
-        v = v * (1.0 - s)
+        v *= 1.0 - s
         drive[t] = s if mask is None else s * mask
 
 
@@ -416,12 +415,12 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
     recurrences.  The reverse recurrence yields the current gradients of a
     whole layer, from which dW and the input gradient are one matmul each.
     The tape and the gradient blocks live in work (a fresh workspace if
-    none is given).  Layer li's current gradients overwrite its spike
-    gradients in block ("g", li % 2), and the input gradient goes to the
-    other parity block, so two blocks, as wide as the widest layers of each
-    parity, serve the whole pass; the output layer's spike gradient, the
-    same g_rates / T at every step, is written into its parity block too.
-    The returned dW are new arrays.
+    none is given).  Layer li's spike gradients sit in block ("g", li % 2),
+    which _lif_backward turns into its current gradients in place, and the
+    input gradient goes to the other parity block, so two blocks, as wide
+    as the widest layers of each parity, serve the whole pass; the output
+    layer's spike gradient, the same g_rates / T at every step, is written
+    into its parity block too.  The returned dW are new arrays.
     """
     b, _, t_len = x.shape
     work = work or _Workspace()
@@ -434,16 +433,15 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
     g_rates = 2.0 * diff / diff.size
 
     grads = [None] * net.n_layers
-    g_s = work.take(("g", (net.n_layers - 1) % 2), out.shape)
-    g_s[...] = g_rates / t_len
+    g = work.take(("g", (net.n_layers - 1) % 2), out.shape)
+    g[...] = g_rates / t_len
     for li in range(net.n_layers - 1, -1, -1):
         layer = tape[li]
         w = net.weights[li]
         n_out, n_in = w.shape
-        # the current gradients overwrite the spike gradients in place
-        _lif_backward(layer["v"], g_s, _dropout_mask(net, dropout_masks, li), g_s,
+        _lif_backward(layer["v"], g, _dropout_mask(net, dropout_masks, li),
                       net.params[li], slope, soft)
-        g_u = g_s.reshape(t_len * b, n_out)
+        g_u = g.reshape(t_len * b, n_out)
         x_in = layer["x"].reshape(t_len * b, n_in)
         # OpenBLAS gives bitwise the same dW either way; the transposed form
         # is faster for an input narrower than the layer (2.1 against 6.3 ms
@@ -451,31 +449,30 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
         # against 7.5 ms at 6400 x 256 -> 64)
         grads[li] = (x_in.T @ g_u).T if n_in < n_out else g_u.T @ x_in
         if li > 0:  # the network input's gradient is never read
-            g_s = work.take(("g", (li - 1) % 2), (t_len, b, n_in))
-            np.matmul(g_u, w, out=g_s.reshape(t_len * b, n_in))
+            g = work.take(("g", (li - 1) % 2), (t_len, b, n_in))
+            np.matmul(g_u, w, out=g.reshape(t_len * b, n_in))
     return loss, grads
 
 
-def _lif_backward(v_seq, g_s, mask, g_u, p: CubaParams, slope: float, soft: bool):
-    """Reverse LIF recurrence: writes the synaptic-current gradients of a
-    (T, B, n) block into g_u, given the pre-reset potentials v_seq and the
-    spike gradients g_s (times the dropout mask, if any).  The spikes are
-    re-derived from v_seq as _lif_forward made them.  Dispatched like
-    _lif_forward; g_u may be g_s itself."""
-    t_len, b, n = g_u.shape
+def _lif_backward(v_seq, g, mask, p: CubaParams, slope: float, soft: bool):
+    """Reverse LIF recurrence over a (T, B, n) block, in place: g holds the
+    spike gradients (times the dropout mask, if any) on entry and the
+    synaptic-current gradients on return.  The spikes are re-derived from
+    the pre-reset potentials v_seq as _lif_forward made them.  Dispatched
+    like _lif_forward."""
+    t_len, b, n = g.shape
+    state = np.zeros((2, b * n))
     kernel = None if soft else _kernel()
     if kernel is not None:
-        state = np.zeros((2, b * n))
-        kernel.cuba_backward(_ptr(v_seq, g_u.shape), _ptr(g_s, g_u.shape),
+        kernel.cuba_backward(_ptr(v_seq, g.shape), _ptr(g, g.shape),
                              None if mask is None else _ptr(mask, (b, n)),
-                             _ptr(g_u, g_u.shape), _ptr(state, (2, b * n)),
-                             t_len, b * n, 1.0 - p.current_decay,
-                             1.0 - p.voltage_decay, p.threshold, slope)
+                             _ptr(state, (2, b * n)), t_len, b * n,
+                             1.0 - p.current_decay, 1.0 - p.voltage_decay,
+                             p.threshold, slope)
         return
     au = 1.0 - p.current_decay
     av = 1.0 - p.voltage_decay
-    carry_u = np.zeros((b, n))
-    carry_vp = np.zeros((b, n))
+    cu, cvp = state.reshape(2, b, n)
     for t in range(t_len - 1, -1, -1):
         v = v_seq[t]
         if soft:
@@ -484,11 +481,11 @@ def _lif_backward(v_seq, g_s, mask, g_u, p: CubaParams, slope: float, soft: bool
         else:
             s = (v >= p.threshold).astype(np.float64)
             sd = _surrogate_grad(v, p, slope)
-        g = g_s[t] if mask is None else g_s[t] * mask
-        g_v = sd * (g - v * carry_vp) + (1.0 - s) * carry_vp
-        g_u[t] = g_v + au * carry_u
-        carry_u = g_u[t]
-        carry_vp = av * g_v
+        g_s = g[t] if mask is None else g[t] * mask
+        g_v = sd * (g_s - v * cvp) + (1.0 - s) * cvp
+        g[t] = g_v + au * cu
+        cu[...] = g[t]
+        cvp[...] = av * g_v
 
 
 class _Adam:

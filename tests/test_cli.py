@@ -485,6 +485,15 @@ class TestMalformedDataFiles:
         assert_one_error_line(capsys, "unknown scheme")
         assert not (tmp_path / "pq").exists()
 
+    def test_perturb_removes_its_outputs_when_a_later_write_fails(self, spikes_dir,
+                                                                 tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "w00001.spk").mkdir(parents=True)  # the rename onto it fails
+        assert run(["perturb", spikes_dir / "w00000.spk", spikes_dir / "w00001.spk",
+                    "--noise-p", "0.1", "--out", out]) == 3
+        assert_one_error_line(capsys, "w00001.spk")
+        assert sorted(p.name for p in out.iterdir()) == ["w00001.spk"]
+
     def test_corrupt_spike_sidecar(self, spikes_dir, tmp_path, capsys):
         path = self.spike_copy(spikes_dir, tmp_path)
         (tmp_path / "w.json").write_text("{")
@@ -560,6 +569,39 @@ class TestMalformedDataFiles:
             json.dumps({"encoding": {"scheme": scheme, field: value}}))
         assert self.perturb(path, tmp_path) == 3
         assert field in capsys.readouterr().err
+
+
+class TestMalformedCsv:
+    """A malformed CSV row is a data error (exit 3) naming its line, raised
+    before any command creates its output directory."""
+
+    # line 5 belongs to alice, the user train and evaluate hold out by default
+    CORRUPT = {
+        "not-utf8": lambda line: line.replace(b"alice", b"al\xffice"),
+        "overlong-quoted-cell": lambda line: line.replace(
+            b"alice", b'"' + b"a" * 131_073 + b'"'),
+        "missing-user-cell": lambda line: line.rsplit(b",", 1)[0],
+        "inf-sensor-cell": lambda line: b"inf" + line[line.index(b","):],
+        "nan-sensor-cell": lambda line: b"nan" + line[line.index(b","):],
+    }
+
+    @pytest.mark.parametrize("command", (
+        ["encode", "--scheme", "binary6"],
+        ["train", "--scheme", "binary6", "--epochs", "1"],
+        ["evaluate", "--schemes", "binary6", "--epochs", "1"],
+    ), ids=("encode", "train", "evaluate"))
+    @pytest.mark.parametrize("fault", CORRUPT)
+    def test_exits_3_naming_the_line(self, fault, command, tmp_path, capsys):
+        path = TestCsvNormalization().write_csv(tmp_path / "in.csv", None)
+        lines = path.read_bytes().splitlines()
+        assert lines[4].endswith(b",alice")
+        lines[4] = self.CORRUPT[fault](lines[4])
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        out = tmp_path / "out"
+        assert run([command[0], path, "--duration", "1.0", *command[1:],
+                    "--out", out]) == 3
+        assert_one_error_line(capsys, f"{path}: line 5: ")
+        assert not out.exists()
 
 
 class _Captured(Exception):

@@ -22,7 +22,7 @@ from spikecodec import (
     window,
     write_spikes,
 )
-from spikecodec.dataio import DEFAULT_LABELS, SessionRecord
+from spikecodec.dataio import DEFAULT_LABELS, SessionRecord, atomic_write
 from spikecodec.snn import CubaNetwork, CubaParams, TrainConfig, save_checkpoint
 from spikecodec.errors import (
     BadMagicError,
@@ -77,6 +77,46 @@ class TestLoadCsv:
         path.write_text("acc_x,label,user\n0.1,Squat,alice\n")
         with pytest.raises(MissingColumnError, match="acc_y"):
             load_csv(path)
+
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = write_csv(tmp_path / "a.csv", [sensor_row(0.1), sensor_row(0.2)])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        records = load_csv(path)
+        assert [(r.n_rows, r.label, r.user) for r in records] == [(2, "Squat", "alice")]
+
+    def test_bytes_that_are_not_utf8_report_their_line(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(f"{HEADER}\n{sensor_row(0.1)}\n".encode()
+                         + sensor_row(0.2).encode().replace(b"alice", b"al\xffice"))
+        with pytest.raises(ParseError, match="line 3: not UTF-8"):
+            load_csv(path)
+
+    def test_overlong_quoted_cell_reports_its_line(self, tmp_path):
+        long_user = '"' + "a" * 131_073 + '"'
+        rows = [sensor_row(0.1), sensor_row(0.2, user=long_user)]
+        with pytest.raises(ParseError, match="line 3: field larger"):
+            load_csv(write_csv(tmp_path / "a.csv", rows))
+
+    @pytest.mark.parametrize("row, cells", (
+        (",".join(["0.2"] * 7 + ["Squat"]), 8),  # no user cell
+        (sensor_row(0.2) + ",extra", 10),
+    ), ids=("missing-user", "surplus-cell"))
+    def test_row_of_another_width_than_the_header_reports_its_line(self, row, cells,
+                                                                  tmp_path):
+        with pytest.raises(ParseError, match=f"line 3: {cells} cells where the header has 9"):
+            load_csv(write_csv(tmp_path / "a.csv", [sensor_row(0.1), row]))
+
+    @pytest.mark.parametrize("cell", ("inf", "-inf", "nan", "1e999"))
+    def test_non_finite_sensor_cell_reports_its_line(self, cell, tmp_path):
+        rows = [sensor_row(0.1), sensor_row(0.2), sensor_row(cell)]
+        with pytest.raises(ParseError, match="line 4: non-finite sensor cell"):
+            load_csv(write_csv(tmp_path / "a.csv", rows))
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        rows = [sensor_row(0.1), "", "x,0,0,0,0,0,0,Squat,alice"]
+        with pytest.raises(ParseError, match="line 4: non-numeric"):
+            load_csv(write_csv(tmp_path / "a.csv", rows))
 
 
 class TestNormalize:
@@ -281,6 +321,19 @@ class TestSpikeFiles:
         path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
         with pytest.raises(ParseError, match="3 extra byte"):
             read_spikes(path)
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path):
+        (tmp_path / "t.spk").mkdir()
+        with pytest.raises(OSError):
+            atomic_write(tmp_path / "t.spk", b"SPK1")
+        assert [p.name for p in tmp_path.iterdir()] == ["t.spk"]
+
+    def test_failed_sidecar_write_removes_the_spike_file(self, tmp_path):
+        (tmp_path / "t.json").mkdir()
+        tensor = SpikeTensor(np.ones((1, 7, 2), dtype=np.int8), 1.0)
+        with pytest.raises(OSError):
+            write_spikes(tensor, {}, tmp_path / "t.spk")
+        assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
     def test_dimension_count_other_than_three_is_a_shape_error(self, tmp_path):
         # 65 empty dimensions: past numpy's dimension limit, zero bytes long

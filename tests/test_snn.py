@@ -40,7 +40,13 @@ from spikecodec.errors import (
 )
 from spikecodec import snn
 from spikecodec.evaluation import VARIANT_NAMES, encode_dataset, variant_config
-from spikecodec.snn import _lif_forward, _loss_and_grads, _simulate, _stack_batch
+from spikecodec.snn import (
+    _lif_backward,
+    _lif_forward,
+    _loss_and_grads,
+    _simulate,
+    _stack_batch,
+)
 
 
 def encode_windows(dataset, config, base_seed=0):
@@ -586,20 +592,23 @@ class TestCompiledKernel:
     pre-reset potentials, same gradients, bit for bit."""
 
     @staticmethod
-    def run_both(net, x, labels, masks, monkeypatch):
+    def on_both_paths(fn, monkeypatch):
+        """fn() on the compiled kernel, then on the numpy reference."""
+        if snn._kernel() is None:
+            pytest.skip("no C compiler to build the LIF kernel")
+        compiled = fn()
+        with monkeypatch.context() as m:
+            m.setattr(snn, "_kernel", lambda: None)
+            return compiled, fn()
+
+    def run_both(self, net, x, labels, masks, monkeypatch):
         def run():
             out, tape = _simulate(net, x, record=True, dropout_masks=masks)
             loss, grads = _loss_and_grads(net, x, labels, 10.0,
                                           soft=False, dropout_masks=masks)
             return out, tape, loss, grads
 
-        if snn._kernel() is None:
-            pytest.skip("no C compiler to build the LIF kernel")
-        compiled = run()
-        with monkeypatch.context() as m:
-            m.setattr(snn, "_kernel", lambda: None)
-            reference = run()
-        return compiled, reference
+        return self.on_both_paths(run, monkeypatch)
 
     @pytest.mark.parametrize("t_len", (20, 95, 400))
     @pytest.mark.parametrize("batch", (1, 16, 45))
@@ -628,6 +637,52 @@ class TestCompiledKernel:
             assert loss == loss_r
             for g, g_r in zip(grads, grads_r):
                 np.testing.assert_array_equal(g, g_r)
+
+    PARAMS = CubaParams(threshold=1.0, current_decay=0.4, voltage_decay=0.2)
+
+    @staticmethod
+    def case_inputs(masked):
+        """A (95, 3, 40) block of currents or potentials, and a (3, 40)
+        dropout mask or None."""
+        rng = np.random.default_rng(29)
+        mask = (rng.uniform(size=(3, 40)) < 0.9) / 0.9 if masked else None
+        return rng.normal(0.4, 0.6, size=(95, 3, 40)), mask
+
+    @pytest.mark.parametrize("masked", (False, True))
+    @pytest.mark.parametrize("record", (False, True))
+    def test_forward_case_bitwise_equal_to_numpy_reference(self, record, masked,
+                                                            monkeypatch):
+        drive, mask = self.case_inputs(masked)
+
+        def run():
+            spikes = drive.copy()
+            v_rec = np.full(drive.shape, np.nan) if record else None
+            _lif_forward(spikes, v_rec, self.PARAMS, mask=mask)
+            return spikes, v_rec
+
+        (spikes, v_rec), (spikes_r, v_rec_r) = self.on_both_paths(run, monkeypatch)
+        assert 0 < np.count_nonzero(spikes) < spikes.size
+        if masked:
+            assert set(np.unique(spikes)) == {0.0, 1.0 / 0.9}
+        np.testing.assert_array_equal(spikes, spikes_r)
+        if record:
+            assert np.isfinite(v_rec).all()
+            np.testing.assert_array_equal(v_rec, v_rec_r)
+
+    @pytest.mark.parametrize("masked", (False, True))
+    def test_backward_case_bitwise_equal_to_numpy_reference(self, masked,
+                                                             monkeypatch):
+        v_seq, mask = self.case_inputs(masked)
+        spike_grads = np.random.default_rng(31).normal(size=v_seq.shape)
+
+        def run():
+            g = spike_grads.copy()
+            _lif_backward(v_seq, g, mask, self.PARAMS, 10.0, soft=False)
+            return g
+
+        g, g_r = self.on_both_paths(run, monkeypatch)
+        assert not np.array_equal(g, spike_grads)
+        np.testing.assert_array_equal(g, g_r)
 
     def test_buffers_are_checked_before_their_address_is_passed(self):
         block = np.zeros((5, 2, 3))
