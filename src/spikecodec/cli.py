@@ -319,11 +319,27 @@ def _sidecar_encoding(metadata: dict, path: str):
         raise ParseError(f"{path}: sidecar encoding: {exc}") from exc
 
 
+def _check_same_encoding(trained, metadata: dict, path: str, checkpoint: str):
+    """A data error when a spike file's sidecar records another encoding
+    than the checkpoint was trained on.  The seed may differ; either side
+    without a recorded encoding passes."""
+    encoding = _sidecar_encoding(metadata, path)
+    if trained is None or encoding is None:
+        return
+    ours, theirs = encoding.to_dict(), trained.to_dict()
+    for name, value in ours.items():
+        if name != "seed" and value != theirs[name]:
+            raise ParseError(f"{path}: spikes encoded with {name} {value!r}, but "
+                             f"{checkpoint} was trained on {name} {theirs[name]!r}")
+
+
 def cmd_infer(args) -> int:
     net, sidecar = load_checkpoint(args.checkpoint)
     label_names = _label_names(sidecar, args.checkpoint)
+    trained = _sidecar_encoding(sidecar, args.checkpoint)
     for path in args.spikes:
-        tensor, _ = read_spikes(path)
+        tensor, metadata = read_spikes(path)
+        _check_same_encoding(trained, metadata, path, args.checkpoint)
         result = classify_detailed(net, tensor)
         record = {
             "file": path,

@@ -9,6 +9,7 @@ parallel workers seed their own streams with :func:`derive_seed`.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -113,6 +114,9 @@ def validate_signal(signal: Signal) -> Signal:
 class SpikeTensor:
     """A ternary spike train tensor of shape (trains, channels, timesteps).
 
+    data may have any dtype whose values are exactly -1, 0 or +1; it is
+    stored as int8, and any other value is a ShapeError.
+
     time_step_ms is the interval between adjacent possible spike positions;
     window_steps, an integer >= 1, records how many positions each original
     sample occupies (1 for parallel schemes such as binary encoding).
@@ -128,9 +132,16 @@ class SpikeTensor:
             raise ShapeError(
                 f"spike tensor must be 3-D (trains x channels x timesteps), got ndim={arr.ndim}"
             )
-        if arr.size and (np.abs(arr) > 1).any():
-            bad = arr[np.abs(arr) > 1].flat[0]
-            raise ShapeError(f"spike values must be in {{-1, 0, +1}}, found {bad}")
+        if arr.dtype != np.int8:
+            # the cast below would truncate 0.5 to 0 and turn NaN into 0
+            bad = ~((arr == 0) | (arr == 1) | (arr == -1))
+        elif arr.size and (arr.min() < -1 or arr.max() > 1):
+            bad = (arr < -1) | (arr > 1)
+        else:
+            bad = None
+        if bad is not None and bad.any():
+            raise ShapeError(
+                f"spike values must be in {{-1, 0, +1}}, found {arr[bad].flat[0]}")
         arr = np.ascontiguousarray(arr, dtype=np.int8)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -272,11 +283,22 @@ def default_threshold_banks(n_channels: int) -> tuple:
 
 
 def resolve_threshold_banks(thresholds, n_channels: int) -> np.ndarray:
-    """Expand a thresholds argument to a validated (channels, levels) array."""
-    if thresholds is None:
+    """Expand a thresholds argument to a validated (channels, levels) array.
+
+    The array is read-only and shared: each (banks, n_channels) pair is
+    validated once and then served from a cache, since delta modulation
+    resolves the same banks twice per window (encode and decode).
+    """
+    frozen = None if thresholds is None else _freeze_banks(thresholds)
+    return _validated_banks(frozen, n_channels)
+
+
+@functools.lru_cache(maxsize=32)
+def _validated_banks(frozen, n_channels: int) -> np.ndarray:
+    if frozen is None:
         banks = default_threshold_banks(n_channels)
     else:
-        banks = _freeze_banks(thresholds)
+        banks = frozen
         if len(banks) == 1:
             banks = banks * n_channels
         if len(banks) != n_channels:
@@ -288,7 +310,9 @@ def resolve_threshold_banks(thresholds, n_channels: int) -> np.ndarray:
         raise ShapeError(f"threshold banks differ in level count: {sorted(sizes)}")
     for bank in banks:
         _check_bank(bank)
-    return np.asarray(banks, dtype=np.float64)
+    arr = np.asarray(banks, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
 
 
 class Rng:

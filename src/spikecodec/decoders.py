@@ -20,6 +20,7 @@ from .core import (
 from .encoders import RateMapping, _check_unit_interval
 from .errors import (
     ConfigError,
+    DomainError,
     InconsistentSpikesError,
     MultipleSpikesInWindowError,
     ShapeError,
@@ -131,7 +132,11 @@ def decode_delta(tensor: SpikeTensor, thresholds=None, initial_value=0.0) -> Sig
     largest-index train that fired (0 when silent); the running value is
     clamped to [0, 1].  The returned signal has timesteps + 1 samples,
     starting at the initial value, at the tensor's (interpolated) sample
-    rate.
+    rate.  initial_value is one value or one per channel; a NaN is a
+    DomainError and any other length a ShapeError.
+
+    The running value is the same, bit for bit, as clamping after every
+    step; see _integrate_clamped for why.
     """
     banks = resolve_threshold_banks(thresholds, tensor.n_channels)
     levels = banks.shape[1]
@@ -139,34 +144,61 @@ def decode_delta(tensor: SpikeTensor, thresholds=None, initial_value=0.0) -> Sig
         raise ShapeError(
             f"tensor has {tensor.n_trains} trains but banks define {levels} levels"
         )
-    data = tensor.data  # (levels, channels, timesteps)
-    has_pos = (data > 0).any(axis=0)
-    has_neg = (data < 0).any(axis=0)
-    mixed = has_pos & has_neg
+    channels = tensor.n_channels
+    initial = np.asarray(initial_value, dtype=np.float64)
+    if initial.ndim > 1 or initial.size not in (1, channels):
+        raise ShapeError(f"initial_value of shape {initial.shape} does not fit "
+                         f"{channels} channels")
+    if np.isnan(initial).any():
+        raise DomainError("initial_value must not be NaN")
+    data = tensor.data  # (levels, channels, timesteps), each -1, 0 or +1
+    up, down = data.max(axis=0), data.min(axis=0)
+    mixed = (up > 0) & (down < 0)
     if mixed.any():
         ch, t = np.argwhere(mixed)[0]
         raise InconsistentSpikesError(
             f"mixed spike signs at channel {ch}, step {t}"
         )
-    fired = data != 0
-    any_fired = fired.any(axis=0)
-    # index of the largest fired level per (channel, timestep)
-    top = levels - 1 - np.argmax(fired[::-1], axis=0)
-
-    magnitude = np.take_along_axis(banks, top, axis=1)
-    sign = has_pos.astype(np.float64) - has_neg.astype(np.float64)
-    deltas = np.where(any_fired, sign * magnitude, 0.0)
-
-    channels, timesteps = deltas.shape
-    initial = np.broadcast_to(np.asarray(initial_value, dtype=np.float64),
-                              (channels,)).copy()
-    values = np.empty((channels, timesteps + 1), dtype=np.float64)
-    values[:, 0] = np.clip(initial, 0.0, 1.0)
-    current = values[:, 0].copy()
-    for t in range(timesteps):
-        current = np.clip(current + deltas[:, t], 0.0, 1.0)
-        values[:, t + 1] = current
+    # threshold of the largest fired level per (channel, timestep), 0 if none
+    magnitude = np.zeros(data.shape[1:])
+    for level in range(levels):
+        np.copyto(magnitude, banks[:, level, np.newaxis], where=data[level] != 0)
+    deltas = np.sign(up + down) * magnitude  # up and down never differ in sign here
+    values = _integrate_clamped(initial, deltas)
     return Signal(values, sample_rate_hz=1000.0 / tensor.time_step_ms)
+
+
+def _integrate_clamped(initial: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """values[:, 0] = clip(initial, 0, 1) and values[:, t + 1] =
+    clip(values[:, t] + deltas[:, t], 0, 1), bit for bit.
+
+    One cumulative sum does every row: np.cumsum (add.accumulate) adds
+    left to right, one float64 addition per step, so up to the first value
+    outside [0, 1] it performs exactly the additions of the clamped
+    recurrence, whose clip is the identity there.  A row that leaves
+    [0, 1] is clamped at that value and finished by a scalar loop of the
+    same additions and clamps.  A NaN never compares outside, so it
+    propagates as it does through np.clip.
+    """
+    channels, timesteps = deltas.shape
+    values = np.empty((channels, timesteps + 1), dtype=np.float64)
+    values[:, 0] = initial
+    values[:, 1:] = deltas
+    np.cumsum(values, axis=1, out=values)
+    outside = (values < 0.0) | (values > 1.0)
+    for ch in np.flatnonzero(outside.any(axis=1)):
+        first = int(np.argmax(outside[ch]))
+        current = 0.0 if values[ch, first] < 0.0 else 1.0
+        tail = [current]
+        for step in deltas[ch, first:].tolist():
+            current += step
+            if current < 0.0:
+                current = 0.0
+            elif current > 1.0:
+                current = 1.0
+            tail.append(current)
+        values[ch, first:] = tail
+    return values
 
 
 def decode(tensor: SpikeTensor, config: EncodingConfig, initial_value=0.0) -> Signal:

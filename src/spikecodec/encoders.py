@@ -91,9 +91,10 @@ def encode_rate(signal: Signal, mapping: RateMapping, steps_per_sample: int = 50
         rng = Rng(0)
     n = int(steps_per_sample)
     rates = map_value_to_rate(signal.data, mapping)
-    prob = np.repeat(rates, n, axis=1)
-    draws = rng.uniform(size=prob.shape)
-    spikes = (draws < prob).astype(np.int8)[np.newaxis, :, :]
+    channels, samples = rates.shape
+    draws = rng.uniform(size=(channels, samples * n))
+    fired = draws.reshape(channels, samples, n) < rates[:, :, np.newaxis]
+    spikes = fired.view(np.int8).reshape(1, channels, samples * n)
     step_ms = 1000.0 / (signal.sample_rate_hz * n)
     return SpikeTensor(spikes, time_step_ms=step_ms, window_steps=n)
 

@@ -79,16 +79,22 @@ def noise_mode_for(scheme: Scheme) -> NoiseMode:
 
 
 def inject_noise(tensor: SpikeTensor, spec: NoiseSpec) -> SpikeTensor:
-    """Apply independent positional spike errors; deterministic given seed."""
+    """Apply independent positional spike errors; deterministic given seed.
+
+    One uniform per position decides whether it changes (u < p); in
+    signed mode a second draw of the whole shape, after the first, picks
+    the sign a silent position gains (+1 where u < 0.5).  The result is
+    computed in int8 throughout, boolean masks viewed as their 0/1 values.
+    """
     rng = Rng(spec.seed)
     data = tensor.data
     change = rng.uniform(size=data.shape) < spec.error_probability
-    if spec.mode is NoiseMode.FLIP_BINARY:
-        changed = np.where(data == 0, 1, 0).astype(np.int8)
-    else:
-        signs = np.where(rng.uniform(size=data.shape) < 0.5, 1, -1).astype(np.int8)
-        changed = np.where(data == 0, signs, 0).astype(np.int8)
-    out = np.where(change, changed, data).astype(np.int8)
+    changed = (data == 0).view(np.int8)
+    if spec.mode is NoiseMode.SIGNED_PERTURB:
+        changed *= (rng.uniform(size=data.shape) < 0.5).view(np.int8) * 2 - 1
+    # changed where change is set, data elsewhere: exact on these small
+    # values, and several times faster than np.where on int8
+    out = data + change.view(np.int8) * (changed - data)
     return SpikeTensor(out, time_step_ms=tensor.time_step_ms,
                        window_steps=tensor.window_steps)
 

@@ -385,6 +385,54 @@ class TestTrainInferPerturb:
         assert outs[0] == outs[1]
 
 
+class TestInferEncodingMismatch:
+    """infer refuses spike files whose sidecar records another encoding
+    than the checkpoint's; only the seed may differ."""
+
+    TRAINED = ["--scheme", "rate-uniform", "--steps", "20"]
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("rate-model")
+        assert run(["train", *SYNTH_SMALL, *self.TRAINED, "--epochs", "1",
+                    "--batch", "4", "--out", out]) == 0
+        return out / "checkpoint.cuba"
+
+    def encode(self, tmp_path, *scheme_args):
+        out = tmp_path / "spikes"
+        assert run(["encode", *SYNTH_SMALL, *scheme_args, "--out", out]) == 0
+        return out / "w00000.spk"
+
+    @pytest.mark.parametrize("scheme_args, field, ours, theirs", (
+        (["--scheme", "ttfs-linear", "--steps", "20"], "scheme",
+         "'ttfs-linear'", "'rate-uniform'"),
+        (["--scheme", "rate-uniform", "--steps", "10"], "steps_per_sample", "10", "20"),
+        (["--scheme", "rate-beta", "--steps", "20"], "scheme",
+         "'rate-beta'", "'rate-uniform'")))
+    def test_other_encoding_is_a_data_error(self, scheme_args, field, ours, theirs,
+                                            checkpoint, tmp_path, capsys):
+        path = self.encode(tmp_path, *scheme_args)
+        capsys.readouterr()
+        assert run(["infer", checkpoint, path]) == 3
+        assert_one_error_line(
+            capsys, f"spikes encoded with {field} {ours}, but {checkpoint} "
+                    f"was trained on {field} {theirs}")
+
+    def test_another_seed_is_classified(self, checkpoint, tmp_path, capsys):
+        path = self.encode(tmp_path, *self.TRAINED, "--seed", "9")
+        capsys.readouterr()
+        assert run(["infer", checkpoint, path]) == 0
+        assert json.loads(capsys.readouterr().out)["file"] == str(path)
+
+    def test_spike_file_without_a_sidecar_is_classified(self, checkpoint, tmp_path,
+                                                         capsys):
+        path = self.encode(tmp_path, "--scheme", "ttfs-linear", "--steps", "20")
+        path.with_suffix(".json").unlink()
+        capsys.readouterr()
+        assert run(["infer", checkpoint, path]) == 0
+        assert json.loads(capsys.readouterr().out)["file"] == str(path)
+
+
 class TestMalformedDataFiles:
     """Well-formed fields holding invalid values, and sidecars that are not
     JSON objects, are data errors (exit 3), not configuration errors."""

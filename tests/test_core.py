@@ -102,6 +102,25 @@ class TestSpikeTensor:
         t = SpikeTensor(data, 1.0)
         assert t.data[0, 0, 1] == -1
 
+    @pytest.mark.parametrize("values, bad", (
+        ([0.5, 0.9, -0.7], "0.5"),
+        ([1.0, float("nan"), 0.0], "nan"),
+        ([0.0, -1.0, 1.0 + 1e-12], "1.000000000001"),
+        ([0, 1, 3], "3")))
+    def test_non_ternary_values_of_any_dtype_name_the_first(self, values, bad):
+        with pytest.raises(ShapeError, match=f"found {bad}"):
+            SpikeTensor(np.array([[values]]), 1.0)
+
+    def test_int8_outside_the_ternary_range_names_the_value(self):
+        with pytest.raises(ShapeError, match="found -2"):
+            SpikeTensor(np.array([[[0, -2, 1]]], dtype=np.int8), 1.0)
+
+    def test_exactly_ternary_floats_and_bools_are_stored_as_int8(self):
+        t = SpikeTensor(np.array([[[1.0, -1.0, 0.0]]]), 1.0)
+        assert t.data.dtype == np.int8 and t.data.tolist() == [[[1, -1, 0]]]
+        flags = SpikeTensor(np.ones((1, 1, 2), dtype=bool), 1.0)
+        assert flags.data.tolist() == [[[1, 1]]]
+
 
 class TestEncodingConfig:
     def test_defaults(self):

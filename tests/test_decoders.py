@@ -219,6 +219,17 @@ class TestDecodeDelta:
         recon = decode_delta(tensor, initial_value=ramp[:, 0])
         assert (np.diff(recon.data, axis=1) >= 0).all()
 
+    def test_initial_value_of_another_length_is_a_shape_error(self):
+        tensor = SpikeTensor(np.zeros((5, 7, 4), dtype=np.int8), 10.0, 5)
+        with pytest.raises(ShapeError, match="7 channels"):
+            decode_delta(tensor, initial_value=[0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("initial", (float("nan"), [0.5, float("nan")]))
+    def test_nan_initial_value_is_a_domain_error(self, initial):
+        tensor = SpikeTensor(np.zeros((5, 2, 4), dtype=np.int8), 10.0, 5)
+        with pytest.raises(DomainError, match="NaN"):
+            decode_delta(tensor, initial_value=initial)
+
     def test_step_is_the_fired_threshold(self):
         data = np.zeros((5, 1, 1), dtype=np.int8)
         data[0, 0, 0] = 1
