@@ -1,9 +1,10 @@
 """Core domain types: signals, ternary spike tensors, configuration and RNG.
 
-All containers are frozen after construction (their numpy buffers are marked
-read-only), so they can be shared freely across threads.  Randomness always
-flows through :class:`Rng`, which wraps a counter-based PCG64 stream;
-parallel workers seed their own streams with :func:`derive_seed`.
+All containers are frozen after construction (each keeps its own read-only
+copy of its numpy buffer), so they can be shared freely across threads.
+Randomness always flows through :class:`Rng`, which wraps a counter-based
+PCG64 stream; parallel workers seed their own streams with
+:func:`derive_seed`.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ class Scheme(enum.Enum):
         raise ConfigError(f"unknown scheme {name!r}; expected one of: {known}")
 
 
+def frozen_array(data, dtype) -> np.ndarray:
+    """An owned C-contiguous, read-only copy of data as dtype, for frozen
+    containers.  It is a copy even where a view would do, so the caller's
+    array stays writeable."""
+    arr = np.array(data, dtype=dtype, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Signal:
     """A normalized multi-channel time series.
@@ -66,7 +76,7 @@ class Signal:
 
     def __post_init__(self):
         try:
-            arr = np.asarray(self.data, dtype=np.float64)
+            arr = frozen_array(self.data, np.float64)
         except (ValueError, TypeError) as exc:
             raise RaggedChannelsError(
                 "channels have differing sample counts; a signal must be "
@@ -76,8 +86,6 @@ class Signal:
             arr = arr[np.newaxis, :]
         if arr.ndim != 2:
             raise ShapeError(f"signal must be 2-D (channels x samples), got ndim={arr.ndim}")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         if self.sample_rate_hz <= 0:
             raise ConfigError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
@@ -142,9 +150,7 @@ class SpikeTensor:
         if bad is not None and bad.any():
             raise ShapeError(
                 f"spike values must be in {{-1, 0, +1}}, found {arr[bad].flat[0]}")
-        arr = np.ascontiguousarray(arr, dtype=np.int8)
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", frozen_array(arr, np.int8))
         if not 0 < self.time_step_ms < np.inf:
             raise ConfigError(f"time_step_ms must be positive and finite, "
                               f"got {self.time_step_ms}")
@@ -310,9 +316,7 @@ def _validated_banks(frozen, n_channels: int) -> np.ndarray:
         raise ShapeError(f"threshold banks differ in level count: {sorted(sizes)}")
     for bank in banks:
         _check_bank(bank)
-    arr = np.asarray(banks, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
+    return frozen_array(banks, np.float64)
 
 
 class Rng:

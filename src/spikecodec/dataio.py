@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EncodingConfig, Rng, Signal, SpikeTensor
+from .core import EncodingConfig, Rng, Signal, SpikeTensor, frozen_array
 from .errors import (
     BadMagicError,
     ConfigError,
@@ -61,10 +61,9 @@ class SessionRecord:
     user: str
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        arr = frozen_array(self.values, np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"session values must be 2-D, got ndim={arr.ndim}")
-        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     @property

@@ -150,12 +150,14 @@ def encode_binary(signal: Signal, n_bits: int = 6) -> SpikeTensor:
         raise ConfigError(f"n_bits must be in 1..16, got {n_bits}")
     residual = signal.data.copy()
     channels, samples = residual.shape
-    out = np.zeros((n_bits, channels, samples), dtype=np.int8)
+    out = np.empty((n_bits, channels, samples), dtype=np.int8)
+    fire = out.view(bool)  # each bit's 0/1 row doubles as its fire mask
     decision = 0.5
     for bit in range(n_bits):
-        fire = residual - decision > 0.0
-        out[bit][fire] = 1
-        residual[fire] -= decision
+        # exactly residual - decision > 0: IEEE subtraction of finite
+        # doubles is zero only for equal operands and keeps the sign
+        np.greater(residual, decision, out=fire[bit])
+        np.subtract(residual, decision, out=residual, where=fire[bit])
         decision *= 0.5
     step_ms = 1000.0 / signal.sample_rate_hz
     return SpikeTensor(out, time_step_ms=step_ms, window_steps=1)
@@ -185,8 +187,7 @@ def encode_delta(signal: Signal, thresholds=None, interp_factor: int = 5) -> Spi
     neg = diff[:, np.newaxis, :] < -banks[:, :, np.newaxis]
     out = (pos.astype(np.int8) - neg.astype(np.int8)).transpose(1, 0, 2)
     step_ms = 1000.0 / upsampled.sample_rate_hz
-    return SpikeTensor(np.ascontiguousarray(out), time_step_ms=step_ms,
-                       window_steps=int(interp_factor))
+    return SpikeTensor(out, time_step_ms=step_ms, window_steps=int(interp_factor))
 
 
 def encode(signal: Signal, config: EncodingConfig, rng: Rng = None) -> SpikeTensor:

@@ -44,16 +44,17 @@ class Variant:
 
     encode(signal, config, rng) and decode(tensor, config, initial_value)
     are its codec; decode lands on the tensor's own time grid (reconstruct
-    maps it onto the original samples).  noise_mode is its default
-    spike-error model.  params names the caller parameters its
-    EncodingConfig takes; n_bits, when set, fixes the bit depth.
+    maps it onto the original samples).  params names the EncodingConfig
+    fields the codec reads, plus the seed that names the encoding stream;
+    every other field keeps its default.  noise_mode is its default
+    spike-error model.  n_bits, when set, fixes the bit depth.
     """
 
     scheme: Scheme
     encode: Callable
     decode: Callable
+    params: tuple
     noise_mode: NoiseMode
-    params: tuple = ("steps_per_sample", "n_bits", "interp_factor", "thresholds", "seed")
     n_bits: int = None
 
 
@@ -61,18 +62,22 @@ def _mapping(c: EncodingConfig) -> RateMapping:
     return RateMapping(c.scheme, mu=c.normal_mu, var=c.normal_var, beta_shape=c.beta_shape)
 
 
-# One (encode, decode) pair per family, each reading what it needs from the
-# config; v0 is the initial value that delta modulation integrates from.
+# One (encode, decode, params) triple per family: the codec reads from the
+# config exactly the fields params names; v0 is the initial value that
+# delta modulation integrates from.
 _RATE = (lambda s, c, rng: encode_rate(s, _mapping(c), c.steps_per_sample, rng),
-         lambda t, c, v0: decode_rate(t, _mapping(c), c.steps_per_sample))
+         lambda t, c, v0: decode_rate(t, _mapping(c), c.steps_per_sample),
+         ("steps_per_sample", "seed"))
 _TTFS = (lambda s, c, rng: encode_ttfs(s, c.scheme, c.steps_per_sample),
-         lambda t, c, v0: decode_ttfs(t, c.scheme, c.steps_per_sample))
+         lambda t, c, v0: decode_ttfs(t, c.scheme, c.steps_per_sample),
+         ("steps_per_sample", "seed"))
 _BINARY = (lambda s, c, rng: encode_binary(s, c.n_bits),
-           lambda t, c, v0: decode_binary(t))
+           lambda t, c, v0: decode_binary(t),
+           ("n_bits", "seed"))
 _DELTA = (lambda s, c, rng: encode_delta(s, c.thresholds, c.interp_factor),
-          lambda t, c, v0: decode_delta(t, c.thresholds, v0))
+          lambda t, c, v0: decode_delta(t, c.thresholds, v0),
+          ("interp_factor", "thresholds", "seed"))
 _FLIP, _SIGNED = NoiseMode.FLIP_BINARY, NoiseMode.SIGNED_PERTURB
-_BITS = ("n_bits", "seed")
 
 VARIANTS = MappingProxyType({
     "rate-uniform": Variant(Scheme.RATE_UNIFORM, *_RATE, _FLIP),
@@ -80,10 +85,10 @@ VARIANTS = MappingProxyType({
     "rate-beta": Variant(Scheme.RATE_BETA, *_RATE, _FLIP),
     "ttfs-linear": Variant(Scheme.TTFS_LINEAR, *_TTFS, _FLIP),
     "ttfs-log": Variant(Scheme.TTFS_LOG, *_TTFS, _SIGNED),
-    "binary6": Variant(Scheme.BINARY, *_BINARY, _FLIP, _BITS, n_bits=6),
-    "binary10": Variant(Scheme.BINARY, *_BINARY, _FLIP, _BITS, n_bits=10),
+    "binary6": Variant(Scheme.BINARY, *_BINARY, _FLIP, n_bits=6),
+    "binary10": Variant(Scheme.BINARY, *_BINARY, _FLIP, n_bits=10),
     "delta-mod": Variant(Scheme.DELTA_MOD, *_DELTA, _SIGNED),
-    "binary": Variant(Scheme.BINARY, *_BINARY, _FLIP, _BITS),
+    "binary": Variant(Scheme.BINARY, *_BINARY, _FLIP),
 })
 
 # The eight variants evaluated side by side: every entry but the last, plain
@@ -138,13 +143,13 @@ def reconstruct(tensor, config: EncodingConfig, original):
 
 
 def reconstruction_snr_db(dataset: WindowedDataset, config: EncodingConfig,
-                          base_seed: int = None, encoded=None) -> float:
+                          encoded=None) -> float:
     """Mean reconstruction SNR over all windows of a dataset.  encoded, if
     given, is the dataset already encoded under config."""
     if len(dataset) == 0:
         raise EmptyDatasetError("cannot evaluate SNR on an empty dataset")
     if encoded is None:
-        encoded = encode_dataset(dataset, config, base_seed)
+        encoded = encode_dataset(dataset, config)
     values = [
         snr_db(sig, reconstruct(tensor, config, sig))
         for (sig, _), (tensor, _) in zip(dataset, encoded)

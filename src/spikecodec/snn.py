@@ -72,6 +72,10 @@ INIT_GAIN = 2.0
 # Checkpoints store weights as float32: a weight beyond this magnitude, or
 # NaN, means training diverged, even where the loss stays finite.
 WEIGHT_LIMIT = float(np.finfo(np.float32).max)
+# Steepness of the surrogate (and soft-mode sigmoid) spike derivative.
+SURROGATE_SLOPE = 10.0
+# ADAM's moment decays and denominator guard.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _weights_in_range(weights) -> bool:
@@ -162,24 +166,17 @@ class TrainConfig:
     epochs: int = 100
     learning_rate: float = 1e-3
     batch_size: int = 32
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    surrogate_slope: float = 10.0
     soft_mode: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types(self, ("epochs", "batch_size", "seed"),
-                          ("learning_rate", "surrogate_slope"))
+        check_field_types(self, ("epochs", "batch_size", "seed"), ("learning_rate",))
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.surrogate_slope <= 0:
-            raise ConfigError(f"surrogate_slope must be positive, got {self.surrogate_slope}")
         if self.seed < 0:
             raise ConfigError(f"seed must be unsigned, got {self.seed}")
 
@@ -236,17 +233,17 @@ class CubaNetwork:
         return self.layer_sizes[-1]
 
 
-def _surrogate_grad(v: np.ndarray, params: CubaParams, slope: float) -> np.ndarray:
+def _surrogate_grad(v: np.ndarray, params: CubaParams) -> np.ndarray:
     """Fast-sigmoid surrogate for the threshold derivative."""
-    return 1.0 / np.square(1.0 + slope * np.abs(v - params.threshold))
+    return 1.0 / np.square(1.0 + SURROGATE_SLOPE * np.abs(v - params.threshold))
 
 
-def _soft_spike(v: np.ndarray, params: CubaParams, slope: float) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-slope * (v - params.threshold)))
+def _soft_spike(v: np.ndarray, params: CubaParams) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-SURROGATE_SLOPE * (v - params.threshold)))
 
 
-def _soft_spike_grad(s: np.ndarray, slope: float) -> np.ndarray:
-    return slope * s * (1.0 - s)
+def _soft_spike_grad(s: np.ndarray) -> np.ndarray:
+    return SURROGATE_SLOPE * s * (1.0 - s)
 
 
 @dataclass(frozen=True)
@@ -293,7 +290,7 @@ class _Workspace:
 
 
 def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
-                 slope: float = 10.0, mask=None):
+                 mask=None):
     """LIF recurrence over a (T, B, n) block of input currents.
 
     Overwrites drive with the spikes, times mask (a (B, n) dropout mask) if
@@ -319,7 +316,7 @@ def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
         u[...] = au * u + drive[t]
         v[...] = av * v + u
         if soft:
-            s = _soft_spike(v, p, slope)
+            s = _soft_spike(v, p)
         else:
             s = (v >= p.threshold).astype(np.float64)
         if v_rec is not None:
@@ -329,8 +326,7 @@ def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
 
 
 def _simulate(net: CubaNetwork, x: np.ndarray, soft: bool = False,
-              slope: float = 10.0, record: bool = False,
-              dropout_masks=None, work: _Workspace = None):
+              record: bool = False, dropout_masks=None, work: _Workspace = None):
     """Run the network over a (B, F, T) block.
 
     Returns (out_spikes (T, B, C), tape).  When record is set, the tape holds
@@ -355,7 +351,7 @@ def _simulate(net: CubaNetwork, x: np.ndarray, soft: bool = False,
         np.matmul(current.reshape(t_len * b, n_in), w.T,
                   out=drive.reshape(t_len * b, n_out))
         v_rec = work.take(("v", li), drive.shape) if record else None
-        _lif_forward(drive, v_rec, net.params[li], soft, slope,
+        _lif_forward(drive, v_rec, net.params[li], soft,
                      mask=_dropout_mask(net, dropout_masks, li))
         if record:
             tape.append({"x": current, "v": v_rec})
@@ -404,8 +400,7 @@ def _targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
-                    slope: float, soft: bool,
-                    dropout_masks=None, work: _Workspace = None):
+                    soft: bool, dropout_masks=None, work: _Workspace = None):
     """Forward plus backpropagation through time over a (B, F, T) block.
 
     Returns (loss, [dW per layer]); the loss is the mean squared error of
@@ -424,7 +419,7 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
     """
     b, _, t_len = x.shape
     work = work or _Workspace()
-    out, tape = _simulate(net, x, soft=soft, slope=slope, record=True,
+    out, tape = _simulate(net, x, soft=soft, record=True,
                           dropout_masks=dropout_masks, work=work)
     rates = out.mean(axis=0)  # (B, C)
     targets = _targets(labels, net.n_classes)
@@ -440,7 +435,7 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
         w = net.weights[li]
         n_out, n_in = w.shape
         _lif_backward(layer["v"], g, _dropout_mask(net, dropout_masks, li),
-                      net.params[li], slope, soft)
+                      net.params[li], soft)
         g_u = g.reshape(t_len * b, n_out)
         x_in = layer["x"].reshape(t_len * b, n_in)
         # OpenBLAS gives bitwise the same dW either way; the transposed form
@@ -454,7 +449,7 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
     return loss, grads
 
 
-def _lif_backward(v_seq, g, mask, p: CubaParams, slope: float, soft: bool):
+def _lif_backward(v_seq, g, mask, p: CubaParams, soft: bool):
     """Reverse LIF recurrence over a (T, B, n) block, in place: g holds the
     spike gradients (times the dropout mask, if any) on entry and the
     synaptic-current gradients on return.  The spikes are re-derived from
@@ -468,7 +463,7 @@ def _lif_backward(v_seq, g, mask, p: CubaParams, slope: float, soft: bool):
                              None if mask is None else _ptr(mask, (b, n)),
                              _ptr(state, (2, b * n)), t_len, b * n,
                              1.0 - p.current_decay, 1.0 - p.voltage_decay,
-                             p.threshold, slope)
+                             p.threshold, SURROGATE_SLOPE)
         return
     au = 1.0 - p.current_decay
     av = 1.0 - p.voltage_decay
@@ -476,11 +471,11 @@ def _lif_backward(v_seq, g, mask, p: CubaParams, slope: float, soft: bool):
     for t in range(t_len - 1, -1, -1):
         v = v_seq[t]
         if soft:
-            s = _soft_spike(v, p, slope)
-            sd = _soft_spike_grad(s, slope)
+            s = _soft_spike(v, p)
+            sd = _soft_spike_grad(s)
         else:
             s = (v >= p.threshold).astype(np.float64)
-            sd = _surrogate_grad(v, p, slope)
+            sd = _surrogate_grad(v, p)
         g_s = g[t] if mask is None else g[t] * mask
         g_v = sd * (g_s - v * cvp) + (1.0 - s) * cvp
         g[t] = g_v + au * cu
@@ -489,23 +484,22 @@ def _lif_backward(v_seq, g, mask, p: CubaParams, slope: float, soft: bool):
 
 
 class _Adam:
-    def __init__(self, shapes, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, shapes, learning_rate: float):
+        self.learning_rate = learning_rate
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
         self.t = 0
 
     def step(self, weights, grads):
-        cfg = self.cfg
         self.t += 1
-        b1_corr = 1.0 - cfg.beta1 ** self.t
-        b2_corr = 1.0 - cfg.beta2 ** self.t
+        b1_corr = 1.0 - ADAM_BETA1 ** self.t
+        b2_corr = 1.0 - ADAM_BETA2 ** self.t
         for i, g in enumerate(grads):
-            self.m[i] = cfg.beta1 * self.m[i] + (1.0 - cfg.beta1) * g
-            self.v[i] = cfg.beta2 * self.v[i] + (1.0 - cfg.beta2) * np.square(g)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * np.square(g)
             m_hat = self.m[i] / b1_corr
             v_hat = self.v[i] / b2_corr
-            weights[i] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            weights[i] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -559,7 +553,7 @@ def train(net: CubaNetwork, dataset, cfg: TrainConfig,
         x_test, y_test = x_train, y_train
 
     rng = Rng(cfg.seed)
-    adam = _Adam([w.shape for w in net.weights], cfg)
+    adam = _Adam([w.shape for w in net.weights], cfg.learning_rate)
     history = []
     best_acc = -1.0
     best_epoch = -1
@@ -583,9 +577,8 @@ def train(net: CubaNetwork, dataset, cfg: TrainConfig,
                     .astype(np.float64) / keep
                     for i in range(net.n_layers - 1)
                 ]
-            loss, grads = _loss_and_grads(net, xb, yb, cfg.surrogate_slope,
-                                          cfg.soft_mode, dropout_masks=masks,
-                                          work=work)
+            loss, grads = _loss_and_grads(net, xb, yb, cfg.soft_mode,
+                                          dropout_masks=masks, work=work)
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite at epoch {epoch}")
             adam.step(net.weights, grads)
@@ -637,10 +630,10 @@ def gradient_check(net: CubaNetwork, sample, cfg: TrainConfig,
     labels = np.asarray([label], dtype=np.int64)
 
     def loss_only():
-        rates = _simulate(net, x, soft=True, slope=cfg.surrogate_slope)[0].mean(axis=0)
+        rates = _simulate(net, x, soft=True)[0].mean(axis=0)
         return float(np.mean(np.square(rates - _targets(labels, net.n_classes))))
 
-    _, grads = _loss_and_grads(net, x, labels, cfg.surrogate_slope, soft=True)
+    _, grads = _loss_and_grads(net, x, labels, soft=True)
     rng = Rng(cfg.seed)
     sizes = np.array([w.size for w in net.weights])
     total = int(sizes.sum())
@@ -714,7 +707,10 @@ def save_checkpoint(net: CubaNetwork, path, train_config: TrainConfig = None,
         "layer_sizes": list(net.layer_sizes),
     }
     if train_config is not None:
-        sidecar["train_config"] = asdict(train_config)
+        # with the constants, so the sidecar records every value training used
+        sidecar["train_config"] = {
+            **asdict(train_config), "beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
+            "eps": ADAM_EPS, "surrogate_slope": SURROGATE_SLOPE}
     if sidecar_extra:
         sidecar.update(sidecar_extra)
     write_json(path + ".json", sidecar)

@@ -214,13 +214,14 @@ class TestArgumentErrors:
         ["encode", *SYNTH_SMALL, *ONE_SAMPLE, "--scheme", "delta-mod"],
         ["train", *SYNTH_SMALL, *ONE_SAMPLE, "--scheme", "delta-mod", "--epochs", "1"],
         [*EVALUATE, *ONE_SAMPLE, "--schemes", "delta-mod"],
+        ["encode", *SYNTH_SMALL, "--scheme", "delta-mod", "--thresholds", "0.3,0.1"],
     ], ids=["no-users", "negative-rate", "zero-duration", "nan-duration",
             "sub-sample-duration", "no-noise-seeds", "negative-noise-seeds",
             "no-schemes", "stride-with-synth", "train-nan-lr", "train-inf-lr",
             "evaluate-nan-lr", "evaluate-inf-lr", "perturb-nan-p",
             "perturb-p-above-one", "perturb-negative-seed",
             "encode-delta-one-sample", "train-delta-one-sample",
-            "evaluate-delta-one-sample"])
+            "evaluate-delta-one-sample", "delta-unordered-thresholds"])
     def test_is_config_error(self, args, tmp_path, capsys):
         out = tmp_path / "out"
         assert run([*args, "--out", out]) == 2
@@ -387,7 +388,8 @@ class TestTrainInferPerturb:
 
 class TestInferEncodingMismatch:
     """infer refuses spike files whose sidecar records another encoding
-    than the checkpoint's; only the seed may differ."""
+    than the checkpoint's: another value of any field the variant takes,
+    but the seed.  Flags of other families leave the encoding as it is."""
 
     TRAINED = ["--scheme", "rate-uniform", "--steps", "20"]
 
@@ -417,6 +419,14 @@ class TestInferEncodingMismatch:
         assert_one_error_line(
             capsys, f"spikes encoded with {field} {ours}, but {checkpoint} "
                     f"was trained on {field} {theirs}")
+
+    def test_flags_the_scheme_never_reads_are_classified(self, checkpoint, tmp_path,
+                                                          capsys):
+        path = self.encode(tmp_path, *self.TRAINED, "--interp", "3",
+                           "--thresholds", "0.3,0.1", "--bits", "17")
+        capsys.readouterr()
+        assert run(["infer", checkpoint, path]) == 0
+        assert json.loads(capsys.readouterr().out)["file"] == str(path)
 
     def test_another_seed_is_classified(self, checkpoint, tmp_path, capsys):
         path = self.encode(tmp_path, *self.TRAINED, "--seed", "9")

@@ -71,6 +71,12 @@ class TestSignalValidation:
         with pytest.raises(ConfigError):
             Signal(np.zeros((1, 4)), 0.0)
 
+    def test_callers_array_stays_writeable(self):
+        s = np.full((7, 40), 0.5)
+        sig = Signal(s, 20.0)
+        s[0, 0] = 1.0
+        assert sig.data[0, 0] == 0.5 and not sig.data.flags.writeable
+
 
 class TestSpikeTensor:
     def test_ternary_enforced(self):
@@ -120,6 +126,12 @@ class TestSpikeTensor:
         assert t.data.dtype == np.int8 and t.data.tolist() == [[[1, -1, 0]]]
         flags = SpikeTensor(np.ones((1, 1, 2), dtype=bool), 1.0)
         assert flags.data.tolist() == [[[1, 1]]]
+
+    def test_callers_array_stays_writeable(self):
+        d = np.zeros((1, 2, 3), dtype=np.int8)
+        t = SpikeTensor(d, 1.0)
+        d[0, 0, 0] = 1
+        assert t.data[0, 0, 0] == 0 and not t.data.flags.writeable
 
 
 class TestEncodingConfig:

@@ -119,6 +119,13 @@ class TestLoadCsv:
             load_csv(write_csv(tmp_path / "a.csv", rows))
 
 
+def test_session_record_leaves_the_callers_array_writeable():
+    r = np.zeros((4, 7))
+    rec = SessionRecord(r, "Squat", "u")
+    r[0, 0] = 1.0
+    assert rec.values[0, 0] == 0.0 and not rec.values.flags.writeable
+
+
 class TestNormalize:
     def test_midpoint_of_symmetric_range(self):
         rec = SessionRecord(np.array([[-2.0], [0.0], [2.0]]), "Squat", "u")

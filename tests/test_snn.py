@@ -1,6 +1,7 @@
 """CUBA neuron dynamics, the training loop, checkpoint persistence, and the
 compiled LIF recurrence."""
 
+import dataclasses
 import os
 import shutil
 import struct
@@ -184,15 +185,14 @@ class TestRateLoss:
         targets = np.full((len(data), 3), 0.1)
         targets[np.arange(len(data)), labels] = 0.9
         expected = np.mean(np.square(output_rates(net, x) - targets))
-        loss, _ = _loss_and_grads(net, x, labels, 10.0, soft=False)
+        loss, _ = _loss_and_grads(net, x, labels, soft=False)
         assert loss == pytest.approx(expected, rel=1e-12)
         assert expected > 0
 
     def test_label_outside_the_classes_is_rejected(self):
         net = CubaNetwork((7, 8, 2), dropout_p=0.0, seed=1)
         with pytest.raises(IndexError):
-            _loss_and_grads(net, np.zeros((1, 7, 10)), np.array([2]), 10.0,
-                            soft=False)
+            _loss_and_grads(net, np.zeros((1, 7, 10)), np.array([2]), soft=False)
 
 
 class TestClassify:
@@ -337,8 +337,6 @@ class TestTrainConfig:
         ("learning_rate", float("nan")),
         ("learning_rate", float("inf")),
         ("learning_rate", "0.1"),
-        ("surrogate_slope", float("nan")),
-        ("surrogate_slope", float("-inf")),
         ("epochs", 2.5),
         ("epochs", True),
         ("batch_size", float("nan")),
@@ -357,6 +355,17 @@ class TestTrainConfig:
         assert all(type(v) is int for v in (cfg.epochs, cfg.batch_size, cfg.seed))
 
 
+@pytest.mark.parametrize("cls, required", ((TrainConfig, {}),
+                                           (EncodingConfig, {"scheme": "rate-uniform"})),
+                         ids=("TrainConfig", "EncodingConfig"))
+def test_every_float_setting_rejects_nan(cls, required):
+    names = [f.name for f in dataclasses.fields(cls) if f.type in (float, "float")]
+    assert names
+    for name in names:
+        with pytest.raises(ConfigError, match=name):
+            cls(**required, **{name: float("nan")})
+
+
 class TestGradientCheck:
     def test_soft_mode_matches_finite_differences(self):
         data = small_task()
@@ -372,8 +381,7 @@ class TestGradientCheck:
 
         net = CubaNetwork((7, 16, 8, 3), dropout_p=0.0, seed=3)
         x = np.zeros((1, 7, 100))
-        _, grads = _loss_and_grads(net, x, np.array([0]), 10.0,
-                                   soft=False)
+        _, grads = _loss_and_grads(net, x, np.array([0]), soft=False)
         assert all((g == 0).all() for g in grads)
 
     def test_hard_mode_is_skipped(self):
@@ -539,9 +547,9 @@ class TestWorkspace:
             labels = rng.integers(0, 3, size=batch)
             masks = [(rng.uniform(size=(batch, n)) < 0.9) / 0.9
                      for n in net.layer_sizes[1:-1]]
-            shared = _loss_and_grads(net, x, labels, 10.0, soft=False,
+            shared = _loss_and_grads(net, x, labels, soft=False,
                                      dropout_masks=masks, work=work)
-            fresh = _loss_and_grads(net, x, labels, 10.0, soft=False,
+            fresh = _loss_and_grads(net, x, labels, soft=False,
                                     dropout_masks=masks)
             assert shared[0] == fresh[0]
             for g, g_fresh in zip(shared[1], fresh[1]):
@@ -563,7 +571,7 @@ class TestWorkspace:
         x = (rng.uniform(size=(batch, 7, t_len)) < 0.3).astype(np.float64)
         masks = [(rng.uniform(size=(batch, n)) < 0.9) / 0.9 for n in (256, 64)]
         work = snn._Workspace()
-        _loss_and_grads(net, x, rng.integers(0, 3, size=batch), 10.0, soft=False,
+        _loss_and_grads(net, x, rng.integers(0, 3, size=batch), soft=False,
                         dropout_masks=masks, work=work)
         assert sum(flat.size for flat in work._flat.values()) == 973 * t_len * batch
 
@@ -604,8 +612,8 @@ class TestCompiledKernel:
     def run_both(self, net, x, labels, masks, monkeypatch):
         def run():
             out, tape = _simulate(net, x, record=True, dropout_masks=masks)
-            loss, grads = _loss_and_grads(net, x, labels, 10.0,
-                                          soft=False, dropout_masks=masks)
+            loss, grads = _loss_and_grads(net, x, labels, soft=False,
+                                          dropout_masks=masks)
             return out, tape, loss, grads
 
         return self.on_both_paths(run, monkeypatch)
@@ -677,7 +685,7 @@ class TestCompiledKernel:
 
         def run():
             g = spike_grads.copy()
-            _lif_backward(v_seq, g, mask, self.PARAMS, 10.0, soft=False)
+            _lif_backward(v_seq, g, mask, self.PARAMS, soft=False)
             return g
 
         g, g_r = self.on_both_paths(run, monkeypatch)

@@ -85,17 +85,18 @@ def test_table_names_the_cli_choices_and_every_scheme():
         assert codec(scheme).scheme is scheme
 
 
-def test_binary_variants_take_only_bit_depth_and_seed():
-    fixed = variant_config("binary10", steps_per_sample=7, n_bits=3,
-                           interp_factor=2, thresholds=(0.3, 0.1), seed=4)
-    assert (fixed.n_bits, fixed.steps_per_sample, fixed.interp_factor,
-            fixed.thresholds, fixed.seed) == (10, 50, 5, None, 4)
-    plain = variant_config("binary", steps_per_sample=7, n_bits=3, seed=4)
-    assert (plain.n_bits, plain.steps_per_sample) == (3, 50)
-    rate = variant_config("rate-beta", steps_per_sample=7, n_bits=3,
-                          interp_factor=2, thresholds=(0.1, 0.3), seed=4)
-    assert (rate.n_bits, rate.steps_per_sample, rate.interp_factor,
-            rate.thresholds, rate.seed) == (3, 7, 2, ((0.1, 0.3),), 4)
+def test_each_variant_takes_only_its_family_fields_and_seed():
+    def taken(name, **given):
+        c = variant_config(name, steps_per_sample=7, n_bits=3, interp_factor=2,
+                           seed=4, **given)
+        return c.n_bits, c.steps_per_sample, c.interp_factor, c.thresholds, c.seed
+
+    # thresholds out of order would fail delta modulation; the others never read them
+    assert taken("binary10", thresholds=(0.3, 0.1)) == (10, 50, 5, None, 4)
+    assert taken("binary") == (3, 50, 5, None, 4)
+    assert taken("rate-beta", thresholds=(0.3, 0.1)) == (6, 7, 5, None, 4)
+    assert taken("ttfs-log", thresholds=(0.3, 0.1)) == (6, 7, 5, None, 4)
+    assert taken("delta-mod", thresholds=(0.1, 0.3)) == (6, 50, 2, ((0.1, 0.3),), 4)
 
 
 def test_unknown_variant_lists_the_table():
@@ -116,6 +117,6 @@ def test_family_functions_reject_other_schemes():
 def test_snr_of_an_encoded_set_equals_encoding_it_afresh():
     ds = synth_dataset(2, 2, seed=3, seconds=1.0)
     config = variant_config("delta-mod", seed=2)
-    encoded = encode_dataset(ds, config, base_seed=8)
+    encoded = encode_dataset(ds, config)
     assert (reconstruction_snr_db(ds, config, encoded=encoded)
-            == reconstruction_snr_db(ds, config, base_seed=8))
+            == reconstruction_snr_db(ds, config))
