@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 from . import __version__
@@ -225,6 +226,9 @@ def cmd_evaluate(args) -> int:
     names = [n.strip() for n in args.schemes.split(",") if n.strip()]
     if not names:
         raise ConfigError(f"--schemes {args.schemes!r} names no scheme")
+    repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+    if repeated:
+        raise ConfigError(f"--schemes names {', '.join(repeated)} more than once")
     train_ds, test_ds, train_cfg = _training_inputs(args)
     configs = [_config_from_args(args, name) for name in names]
     rows = []
@@ -355,7 +359,9 @@ def cmd_infer(args) -> int:
 
 def cmd_perturb(args) -> int:
     names = [os.path.basename(path) for path in args.spikes]
-    shared = sorted({name for name in names if names.count(name) > 1})
+    # each output writes its spike file and the sidecar beside it
+    written = Counter(names + [os.path.splitext(name)[0] + ".json" for name in names])
+    shared = sorted(name for name, count in written.items() if count > 1)
     if shared:
         raise ConfigError(f"inputs share the output name(s) {', '.join(shared)} "
                           f"in {args.out}")

@@ -31,6 +31,14 @@ from .errors import (
 IMU_THRESHOLDS = (0.0004, 0.0008, 0.0016, 0.0032, 0.0064)
 HBC_THRESHOLDS = (0.0001, 0.0002, 0.0004, 0.0008, 0.0016)
 
+# The fixed value-to-probability curves of the rate variants: rate-normal
+# is the Gaussian CDF with this mean and variance, rate-beta the glued beta
+# CDF with this shape parameter.
+NORMAL_MU, NORMAL_VAR, BETA_SHAPE = 0.5, 0.2, 0.75
+# The curves as EncodingConfig.to_dict records them in every sidecar.
+_RATE_CURVES = {"normal_mu": NORMAL_MU, "normal_var": NORMAL_VAR,
+                "beta_shape": BETA_SHAPE}
+
 
 class Scheme(enum.Enum):
     """The seven encoding variants supported by the package."""
@@ -195,9 +203,12 @@ def check_field_types(config, integers, reals):
 class EncodingConfig:
     """Scheme selector plus every parameter any scheme needs.
 
-    thresholds, when given, is one bank (sequence of floats) applied to all
-    channels, or one bank per channel.  None selects the built-in IMU/HBC
-    default banks at encode time.
+    thresholds, when given, is one bank (sequence of numbers) applied to all
+    channels, or one bank per channel, each with the same number of levels.
+    None selects the built-in IMU/HBC default banks at encode time.
+
+    normal_mu, normal_var and beta_shape are not settings: they read the
+    fixed rate curves, and to_dict records them for the sidecars.
     """
 
     scheme: Scheme
@@ -205,32 +216,27 @@ class EncodingConfig:
     n_bits: int = 6
     thresholds: tuple = None
     interp_factor: int = 5
-    normal_mu: float = 0.5
-    normal_var: float = 0.2
-    beta_shape: float = 0.75
     seed: int = 0
+
+    normal_mu = NORMAL_MU
+    normal_var = NORMAL_VAR
+    beta_shape = BETA_SHAPE
 
     def __post_init__(self):
         if isinstance(self.scheme, str):
             object.__setattr__(self, "scheme", Scheme.from_string(self.scheme))
-        check_field_types(self, ("steps_per_sample", "n_bits", "interp_factor", "seed"),
-                          ("normal_mu", "normal_var", "beta_shape"))
+        check_field_types(self, ("steps_per_sample", "n_bits", "interp_factor", "seed"), ())
         if self.steps_per_sample < 1:
             raise ConfigError(f"steps_per_sample must be >= 1, got {self.steps_per_sample}")
         if not 1 <= self.n_bits <= 16:
             raise ConfigError(f"n_bits must be in 1..16, got {self.n_bits}")
         if self.interp_factor < 1:
             raise ConfigError(f"interp_factor must be >= 1, got {self.interp_factor}")
-        if not 0 < self.beta_shape <= 1:
-            raise ConfigError(f"beta_shape must be in (0, 1], got {self.beta_shape}")
-        if self.normal_var <= 0:
-            raise ConfigError(f"normal_var must be positive, got {self.normal_var}")
         if self.seed < 0:
             raise ConfigError(f"seed must be unsigned, got {self.seed}")
         if self.thresholds is not None:
             banks = _freeze_banks(self.thresholds)
-            for bank in banks:
-                _check_bank(bank)
+            _check_banks(banks)
             object.__setattr__(self, "thresholds", banks)
 
     def to_dict(self) -> dict:
@@ -238,21 +244,27 @@ class EncodingConfig:
         d["scheme"] = self.scheme.value
         if self.thresholds is not None:
             d["thresholds"] = [list(b) for b in self.thresholds]
+        d.update(_RATE_CURVES)
         return d
 
     @classmethod
     def from_dict(cls, d) -> "EncodingConfig":
         """Inverse of to_dict.  Anything to_dict could not have written (not
         an object, a missing or unknown key, a value of the wrong type or
-        out of range) raises ConfigError."""
+        out of range, a rate curve other than the fixed one) raises
+        ConfigError."""
         if not isinstance(d, dict):
             raise ConfigError(f"an encoding config is an object, got {type(d).__name__}")
         if "scheme" not in d:
             raise ConfigError("an encoding config needs a scheme")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        unknown = sorted(set(d) - {f.name for f in fields(cls)} - set(_RATE_CURVES))
         if unknown:
             raise ConfigError(f"unknown encoding config keys: {', '.join(unknown)}")
         d = dict(d)
+        for name, value in _RATE_CURVES.items():
+            given = d.pop(name, value)
+            if given != value:
+                raise ConfigError(f"{name} is fixed at {value}, got {given!r}")
         try:
             d["scheme"] = Scheme.from_string(d["scheme"])
             if d.get("thresholds") is not None:
@@ -266,18 +278,32 @@ def _freeze_banks(thresholds) -> tuple:
     """Normalize a thresholds argument to a tuple of banks."""
     seq = list(thresholds)
     if seq and np.isscalar(seq[0]):
-        return (tuple(float(t) for t in seq),)
-    return tuple(tuple(float(t) for t in bank) for bank in seq)
+        return (tuple(_level(t) for t in seq),)
+    return tuple(tuple(_level(t) for t in bank) for bank in seq)
 
 
-def _check_bank(bank):
-    if len(bank) == 0:
+def _level(t) -> float:
+    if isinstance(t, bool) or not isinstance(t, numbers.Real):
+        raise ConfigError(f"thresholds must be numbers, got {t!r}")
+    return float(t)
+
+
+def _check_banks(banks):
+    """At least one bank, all of one level count, each positive and
+    strictly increasing."""
+    if not banks:
+        raise ThresholdOrderError("thresholds hold no bank")
+    sizes = {len(b) for b in banks}
+    if len(sizes) != 1:
+        raise ThresholdOrderError(f"threshold banks differ in level count: {sorted(sizes)}")
+    if 0 in sizes:
         raise ThresholdOrderError("threshold bank is empty")
-    arr = np.asarray(bank, dtype=np.float64)
-    if not (arr > 0).all():  # NaN fails this too
-        raise ThresholdOrderError(f"thresholds must be positive, got {bank}")
-    if (np.diff(arr) <= 0).any():
-        raise ThresholdOrderError(f"thresholds must be strictly increasing, got {bank}")
+    for bank in banks:
+        arr = np.asarray(bank, dtype=np.float64)
+        if not (arr > 0).all():  # NaN fails this too
+            raise ThresholdOrderError(f"thresholds must be positive, got {bank}")
+        if (np.diff(arr) <= 0).any():
+            raise ThresholdOrderError(f"thresholds must be strictly increasing, got {bank}")
 
 
 def default_threshold_banks(n_channels: int) -> tuple:
@@ -311,11 +337,7 @@ def _validated_banks(frozen, n_channels: int) -> np.ndarray:
             raise ShapeError(
                 f"{len(banks)} threshold banks for {n_channels} channels"
             )
-    sizes = {len(b) for b in banks}
-    if len(sizes) != 1:
-        raise ShapeError(f"threshold banks differ in level count: {sorted(sizes)}")
-    for bank in banks:
-        _check_bank(bank)
+    _check_banks(banks)
     return frozen_array(banks, np.float64)
 
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    BETA_SHAPE,
+    NORMAL_MU,
+    NORMAL_VAR,
     EncodingConfig,
     Scheme,
     Signal,
@@ -45,9 +48,9 @@ def rate_ppf(p, mapping: RateMapping):
         from scipy.special import ndtri
 
         clamped = np.clip(arr, _PPF_CLAMP, 1.0 - _PPF_CLAMP)
-        out = np.clip(mapping.mu + np.sqrt(mapping.var) * ndtri(clamped), 0.0, 1.0)
+        out = np.clip(NORMAL_MU + np.sqrt(NORMAL_VAR) * ndtri(clamped), 0.0, 1.0)
     else:
-        inv = 1.0 / mapping.beta_shape
+        inv = 1.0 / BETA_SHAPE
         lower = 0.5 * (1.0 - np.power(np.clip(1.0 - 2.0 * arr, 0.0, 1.0), inv))
         upper = 0.5 * (1.0 + np.power(np.clip(2.0 * arr - 1.0, 0.0, 1.0), inv))
         out = np.where(arr < 0.5, lower, upper)

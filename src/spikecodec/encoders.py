@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BETA_SHAPE,
+    NORMAL_MU,
+    NORMAL_VAR,
     EncodingConfig,
     Rng,
     Scheme,
@@ -29,24 +32,17 @@ class RateMapping:
     """A monotone map from normalized signal values to firing probabilities.
 
     kind is the rate scheme.  RATE_UNIFORM is the identity.  RATE_NORMAL uses
-    the Gaussian CDF centred at mu with variance var.  RATE_BETA glues two
-    one-shape-parameter beta CDFs, one per half of [0, 1], each rescaled to
-    its half so the combined curve is a single monotone CDF with a steep
-    slope around 0.5.
+    the Gaussian CDF centred at NORMAL_MU with variance NORMAL_VAR.
+    RATE_BETA glues two beta CDFs of shape parameter BETA_SHAPE, one per
+    half of [0, 1], each rescaled to its half so the combined curve is a
+    single monotone CDF with a steep slope around 0.5.
     """
 
     kind: Scheme
-    mu: float = 0.5
-    var: float = 0.2
-    beta_shape: float = 0.75
 
     def __post_init__(self):
         if self.kind not in (Scheme.RATE_UNIFORM, Scheme.RATE_NORMAL, Scheme.RATE_BETA):
             raise ConfigError(f"{self.kind} is not a rate scheme")
-        if self.var <= 0:
-            raise ConfigError(f"var must be positive, got {self.var}")
-        if not 0 < self.beta_shape <= 1:
-            raise ConfigError(f"beta_shape must be in (0, 1], got {self.beta_shape}")
 
 
 def _check_unit_interval(values: np.ndarray, what: str):
@@ -69,11 +65,10 @@ def map_value_to_rate(v, mapping: RateMapping):
     elif mapping.kind is Scheme.RATE_NORMAL:
         from scipy.special import ndtr
 
-        out = ndtr((arr - mapping.mu) / np.sqrt(mapping.var))
+        out = ndtr((arr - NORMAL_MU) / np.sqrt(NORMAL_VAR))
     else:
-        b = mapping.beta_shape
-        lower = 0.5 * (1.0 - np.power(np.clip(1.0 - 2.0 * arr, 0.0, 1.0), b))
-        upper = 0.5 + 0.5 * np.power(np.clip(2.0 * arr - 1.0, 0.0, 1.0), b)
+        lower = 0.5 * (1.0 - np.power(np.clip(1.0 - 2.0 * arr, 0.0, 1.0), BETA_SHAPE))
+        upper = 0.5 + 0.5 * np.power(np.clip(2.0 * arr - 1.0, 0.0, 1.0), BETA_SHAPE)
         out = np.where(arr < 0.5, lower, upper)
     if np.isscalar(v) or np.ndim(v) == 0:
         return float(out)

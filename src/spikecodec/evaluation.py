@@ -58,15 +58,11 @@ class Variant:
     n_bits: int = None
 
 
-def _mapping(c: EncodingConfig) -> RateMapping:
-    return RateMapping(c.scheme, mu=c.normal_mu, var=c.normal_var, beta_shape=c.beta_shape)
-
-
 # One (encode, decode, params) triple per family: the codec reads from the
 # config exactly the fields params names; v0 is the initial value that
 # delta modulation integrates from.
-_RATE = (lambda s, c, rng: encode_rate(s, _mapping(c), c.steps_per_sample, rng),
-         lambda t, c, v0: decode_rate(t, _mapping(c), c.steps_per_sample),
+_RATE = (lambda s, c, rng: encode_rate(s, RateMapping(c.scheme), c.steps_per_sample, rng),
+         lambda t, c, v0: decode_rate(t, RateMapping(c.scheme), c.steps_per_sample),
          ("steps_per_sample", "seed"))
 _TTFS = (lambda s, c, rng: encode_ttfs(s, c.scheme, c.steps_per_sample),
          lambda t, c, v0: decode_ttfs(t, c.scheme, c.steps_per_sample),
@@ -179,8 +175,8 @@ class SchemeEvaluation:
     snr_db: float
     accuracy: float
     drops: dict = field(default_factory=dict)
-    dynamic_energy: str = "not measured"
-    execution_time: str = "not measured"
+
+    dynamic_energy = execution_time = "not measured"
 
     def to_dict(self) -> dict:
         """The row as JSON values; a non-finite SNR (a lossless
@@ -200,11 +196,11 @@ class SchemeEvaluation:
 
 def fit_variant(config: EncodingConfig, train_ds: WindowedDataset,
                 test_ds: WindowedDataset, train_cfg: TrainConfig, net_seed: int,
-                track_train_accuracy: bool, hidden=HIDDEN):
+                track_train_accuracy: bool):
     """Encode both splits and train a fresh classifier on them.
 
     The splits are encoded with the child seeds 1 (train) and 2 (test) of
-    config.seed; the network is (features, *hidden, classes), its features
+    config.seed; the network is (features, *HIDDEN, classes), its features
     read off the first training tensor, with weights drawn from net_seed
     and the default dropout of CubaNetwork.
     Returns (encoded_train, encoded_test, TrainResult).
@@ -214,8 +210,7 @@ def fit_variant(config: EncodingConfig, train_ds: WindowedDataset,
     encoded_train = encode_dataset(train_ds, config, derive_seed(config.seed, 1))
     encoded_test = encode_dataset(test_ds, config, derive_seed(config.seed, 2))
     sample = encoded_train[0][0]
-    sizes = ((sample.n_trains * sample.n_channels,) + tuple(hidden)
-             + (train_ds.n_classes,))
+    sizes = (sample.n_trains * sample.n_channels, *HIDDEN, train_ds.n_classes)
     net = CubaNetwork(sizes, seed=net_seed)
     result = train(net, encoded_train, train_cfg, test_set=encoded_test,
                    track_train_accuracy=track_train_accuracy)
@@ -224,9 +219,8 @@ def fit_variant(config: EncodingConfig, train_ds: WindowedDataset,
 
 def evaluate_scheme(name: str, config: EncodingConfig,
                     train_ds: WindowedDataset, test_ds: WindowedDataset,
-                    train_cfg: TrainConfig, hidden=HIDDEN,
-                    p_list=DEFAULT_P_LIST, noise_seeds: int = 1,
-                    noise_seed_base: int = 0) -> SchemeEvaluation:
+                    train_cfg: TrainConfig, p_list=DEFAULT_P_LIST,
+                    noise_seeds: int = 1, noise_seed_base: int = 0) -> SchemeEvaluation:
     """Run the full pipeline for one variant.
 
     Encodes both splits, trains a fresh classifier (network seed 5),
@@ -241,7 +235,7 @@ def evaluate_scheme(name: str, config: EncodingConfig,
         raise EmptyDatasetError("evaluation needs non-empty train and test splits")
     encoded_train, encoded_test, result = fit_variant(
         config, train_ds, test_ds, train_cfg, net_seed=5,
-        track_train_accuracy=False, hidden=hidden)
+        track_train_accuracy=False)
     snr = reconstruction_snr_db(test_ds, config, encoded=encoded_test)
 
     mode = codec(config.scheme).noise_mode

@@ -229,6 +229,17 @@ class TestArgumentErrors:
         assert captured.err.startswith("error: ") and captured.out == ""
         assert not out.exists()
 
+    def test_evaluate_naming_a_variant_twice_is_refused_before_loading(self, tmp_path,
+                                                                      capsys):
+        # the input does not exist: reading it first would exit 3
+        out = tmp_path / "out"
+        code = run(["evaluate", tmp_path / "missing.csv", "--schemes",
+                    "binary6,rate-uniform,binary6", "--out", out])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --schemes names binary6 more than once\n"
+        assert not out.exists()
+
 
 class TestEmptyInput:
     """A CSV whose every session is shorter than --duration: each command
@@ -374,6 +385,22 @@ class TestTrainInferPerturb:
         assert code == 2
         captured = capsys.readouterr()
         assert "w00000.spk" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_perturb_inputs_sharing_a_sidecar_is_config_error(self, spikes_dir,
+                                                              tmp_path, capsys):
+        # a/w.spk and b/w.spk2 have distinct names but both sidecars are w.json
+        copies = []
+        for name, suffix in (("a", ".spk"), ("b", ".spk2")):
+            (tmp_path / name).mkdir()
+            for src, dst in (("w00000.spk", f"w{suffix}"), ("w00000.json", "w.json")):
+                (tmp_path / name / dst).write_bytes((spikes_dir / src).read_bytes())
+            copies.append(tmp_path / name / f"w{suffix}")
+        out = tmp_path / "o"
+        code = run(["perturb", *copies, "--noise-p", "0.1", "--out", out])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "w.json" in captured.err and captured.out == ""
         assert not out.exists()
 
     def test_perturb_is_seed_reproducible(self, spikes_dir, tmp_path):

@@ -156,12 +156,6 @@ class TestEncodingConfig:
         with pytest.raises(ThresholdOrderError):
             EncodingConfig(Scheme.DELTA_MOD, thresholds=(0.1, float("nan")))
 
-    def test_beta_shape_bounds(self):
-        with pytest.raises(ConfigError):
-            EncodingConfig(Scheme.RATE_BETA, beta_shape=1.5)
-        with pytest.raises(ConfigError):
-            EncodingConfig(Scheme.RATE_BETA, beta_shape=0.0)
-
     def test_round_trips_through_dict(self):
         cfg = EncodingConfig(Scheme.DELTA_MOD, thresholds=(0.1, 0.2), seed=9)
         assert EncodingConfig.from_dict(cfg.to_dict()) == cfg
@@ -176,10 +170,18 @@ class TestEncodingConfig:
         {"scheme": "binary", "n_bits": "6"},
         {"scheme": "delta-mod", "thresholds": 0.1},
         {"scheme": "delta-mod", "thresholds": [["a"]]},
+        {"scheme": "delta-mod", "thresholds": [["0.1", "0.2"]]},
+        {"scheme": "delta-mod", "thresholds": [[True, 2]]},
+        {"scheme": "delta-mod", "thresholds": []},
+        {"scheme": "delta-mod", "thresholds": [[0.1, 0.2], [0.1]]},
     ))
     def test_from_dict_rejects_what_to_dict_cannot_write(self, d):
         with pytest.raises(ConfigError):
             EncodingConfig.from_dict(d)
+
+    def test_from_dict_rejects_another_rate_curve(self):
+        with pytest.raises(ConfigError, match="normal_var"):
+            EncodingConfig.from_dict({"scheme": "rate-normal", "normal_var": 0.5})
 
     @pytest.mark.parametrize("scheme, field, value", (
         ("ttfs-linear", "steps_per_sample", float("nan")),
@@ -194,8 +196,9 @@ class TestEncodingConfig:
         ("rate-beta", "beta_shape", "0.5"),
     ))
     def test_non_integer_or_non_finite_field_rejected(self, scheme, field, value):
-        with pytest.raises(ConfigError, match=field):
-            EncodingConfig(scheme, **{field: value})
+        if field not in ("normal_mu", "normal_var", "beta_shape"):  # fixed curves
+            with pytest.raises(ConfigError, match=field):
+                EncodingConfig(scheme, **{field: value})
         with pytest.raises(ConfigError, match=field):
             EncodingConfig.from_dict({"scheme": scheme, field: value})
 

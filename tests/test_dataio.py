@@ -13,6 +13,7 @@ from spikecodec import (
     Scheme,
     Signal,
     SpikeTensor,
+    encode,
     interpolate_linear,
     downsample,
     load_csv,
@@ -393,3 +394,16 @@ class TestFileBytes:
         assert not list(tmp_path.glob("*.tmp"))
         assert digests == self.PINNED
 
+    def test_rate_normal_spike_file_and_sidecar_are_pinned(self, tmp_path):
+        # the spikes follow the fixed Gaussian curve, and the sidecar
+        # records it as normal_mu, normal_var and beta_shape
+        signal = Signal(np.linspace(0.0, 1.0, 12).reshape(3, 4), sample_rate_hz=20.0)
+        config = EncodingConfig(Scheme.RATE_NORMAL, steps_per_sample=5, seed=7)
+        write_spikes(encode(signal, config), {"encoding": config, "label": 0},
+                     tmp_path / "r.spk")
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir()}
+        assert digests == {
+            "r.spk": "04b540e1f3b34cff188b2e0fd4e35c4e0d0ad2569adf98d859437ba1ef4890c5",
+            "r.json": "865ebad150ecfc2adf56dd03bfefb7cdd7f6b4c3daa45e5144967d904742946d",
+        }

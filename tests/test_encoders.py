@@ -18,7 +18,7 @@ from spikecodec import (
     encode_ttfs,
     map_value_to_rate,
 )
-from spikecodec.core import EncodingConfig, IMU_THRESHOLDS
+from spikecodec.core import BETA_SHAPE, EncodingConfig, IMU_THRESHOLDS
 from spikecodec.decoders import decode_binary
 from spikecodec.errors import ConfigError, DomainError, ThresholdOrderError
 
@@ -54,7 +54,7 @@ class TestMapValueToRate:
             oracles.combined_beta_cdf(0.25), abs=1e-12)
 
     def test_combined_beta_continuous_at_midpoint(self):
-        b = BETA.beta_shape
+        b = BETA_SHAPE
         lower_limit = 0.5 * (1.0 - (1.0 - 2.0 * 0.5) ** b)
         upper_value = 0.5 + 0.5 * (2.0 * 0.5 - 1.0) ** b
         assert lower_limit == upper_value == 0.5

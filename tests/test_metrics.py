@@ -218,8 +218,8 @@ class TestRobustnessSweep:
         assert [r.accuracy for r in shifted] == [r.accuracy for r in rows]
         assert all(r.accuracy_drop == 1.0 - r.accuracy for r in shifted)
 
-    def test_evaluation_drops_match_a_sweep_from_a_clean_pass(self):
-        from spikecodec import TrainConfig
+    def test_evaluation_drops_match_a_sweep_from_a_clean_pass(self, monkeypatch):
+        from spikecodec import TrainConfig, evaluation
 
         # a setup whose drops are not all zero and whose best epoch (7 of
         # 10) scores above the last, so only the restored weights match
@@ -228,13 +228,12 @@ class TestRobustnessSweep:
         config = EncodingConfig(Scheme.TTFS_LOG, steps_per_sample=10, seed=3)
         train_cfg = TrainConfig(epochs=10, learning_rate=5e-3, batch_size=4, seed=1)
         p_list = (0.05, 0.2, 0.4)
+        monkeypatch.setattr(evaluation, "HIDDEN", (16,))
         row = evaluate_scheme("ttfs-log", config, train_ds, test_ds, train_cfg,
-                              hidden=(16,), p_list=p_list, noise_seeds=2,
-                              noise_seed_base=7)
+                              p_list=p_list, noise_seeds=2, noise_seed_base=7)
 
         _, encoded_test, result = fit_variant(config, train_ds, test_ds, train_cfg,
-                                              5, track_train_accuracy=False,
-                                              hidden=(16,))
+                                              5, track_train_accuracy=False)
         baseline = clean_pass(result.net, encoded_test)
         drop_sums = np.zeros(len(p_list))
         for s in range(2):
@@ -249,7 +248,7 @@ class TestRobustnessSweep:
         assert row.accuracy == baseline
 
     def test_evaluation_runs_one_clean_pass_for_all_seeds(self, monkeypatch):
-        from spikecodec import TrainConfig, snn
+        from spikecodec import TrainConfig, evaluation, snn
 
         calls = []
         original = snn.classify_batch
@@ -259,11 +258,12 @@ class TestRobustnessSweep:
             return original(net, tensors)
 
         monkeypatch.setattr(snn, "classify_batch", counted)
+        monkeypatch.setattr(evaluation, "HIDDEN", (8,))
         ds = synth_dataset(3, 4, seed=1, seconds=1.0)
         train_ds, test_ds = ds.split_leave_one_user_out(sorted(set(ds.users))[0])
         evaluate_scheme("binary6", EncodingConfig(Scheme.BINARY, n_bits=6),
                         train_ds, test_ds, TrainConfig(epochs=1, batch_size=8),
-                        hidden=(8,), noise_seeds=3)
+                        noise_seeds=3)
         # 3 seeds x 3 probabilities and no clean pass: the best epoch's test
         # accuracy from training is the baseline
         assert len(calls) == 3 * 3

@@ -16,6 +16,7 @@ import numpy as np
 import spikecodec, spikecodec.cli, spikecodec.evaluation
 from spikecodec import (CubaNetwork, RateMapping, Scheme, classify_detailed,
                         decode, encode, map_value_to_rate, synth_dataset)
+from spikecodec.core import NORMAL_MU, NORMAL_VAR
 from spikecodec.decoders import rate_ppf
 from spikecodec.evaluation import VARIANT_NAMES, variant_config
 
@@ -37,8 +38,8 @@ from scipy.special import ndtr, ndtri
 
 mapping = RateMapping(Scheme.RATE_NORMAL)
 p = map_value_to_rate(signal.data, mapping)
-assert np.array_equal(p, ndtr((signal.data - mapping.mu) / np.sqrt(mapping.var)))
-ppf = np.clip(mapping.mu + np.sqrt(mapping.var) * ndtri(np.clip(p, 1e-6, 1 - 1e-6)),
+assert np.array_equal(p, ndtr((signal.data - NORMAL_MU) / np.sqrt(NORMAL_VAR)))
+ppf = np.clip(NORMAL_MU + np.sqrt(NORMAL_VAR) * ndtri(np.clip(p, 1e-6, 1 - 1e-6)),
               0.0, 1.0)
 assert np.array_equal(rate_ppf(p, mapping), ppf)
 print("ok")
