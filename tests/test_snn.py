@@ -690,6 +690,82 @@ class TestCompiledKernel:
         assert not np.array_equal(g, spike_grads)
         np.testing.assert_array_equal(g, g_r)
 
+    # batch 1 at every width up to 17, and around 32, 64 and 256: the
+    # vectorised loops run a scalar remainder after each full vector, and
+    # a width below one vector runs only that remainder
+    WIDTHS = (*range(1, 18), 31, 33, 63, 65, 257)
+
+    @staticmethod
+    def width_inputs(width, masked):
+        """A (37, 1, width) block of currents or potentials, with lanes that
+        reach the threshold exactly or are NaN at the first step, and a
+        (1, width) dropout mask or None."""
+        rng = np.random.default_rng(width)
+        block = rng.normal(0.4, 0.6, size=(37, 1, width))
+        # from a zeroed state the first potentials equal the first currents
+        block[0, 0, ::3] = TestCompiledKernel.PARAMS.threshold
+        block[0, 0, 1::7] = np.nan
+        mask = (rng.uniform(size=(1, width)) < 0.9) / 0.9 if masked else None
+        return block, mask
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_every_remainder_width_is_bitwise_equal(self, width, monkeypatch):
+        for masked in (False, True):
+            drive, mask = self.width_inputs(width, masked)
+            for record in (False, True):
+                def forward():
+                    spikes = drive.copy()
+                    v_rec = np.full(drive.shape, -1.0) if record else None
+                    _lif_forward(spikes, v_rec, self.PARAMS, mask=mask)
+                    return spikes, v_rec
+
+                (spikes, v_rec), (spikes_r, v_rec_r) = self.on_both_paths(
+                    forward, monkeypatch)
+                assert spikes[0, 0, 0] != 0.0 or (masked and mask[0, 0] == 0.0)
+                np.testing.assert_array_equal(spikes, spikes_r)
+                if record:
+                    np.testing.assert_array_equal(v_rec, v_rec_r)
+
+            spike_grads = np.random.default_rng(width + 1).normal(size=drive.shape)
+
+            def backward():
+                g = spike_grads.copy()
+                _lif_backward(drive, g, mask, self.PARAMS, soft=False)
+                return g
+
+            g, g_r = self.on_both_paths(backward, monkeypatch)
+            np.testing.assert_array_equal(g, g_r)
+
+    def test_flags_keep_the_rounding_of_the_numpy_reference(self):
+        # the bitwise promise rests on these: no contraction into FMA, and
+        # nothing that reorders or approximates IEEE double arithmetic
+        assert "-ffp-contract=off" in snn._KERNEL_FLAGS
+        for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                     "-march=native", "-mfma"):
+            assert flag not in snn._KERNEL_FLAGS
+
+    def test_new_flags_build_a_new_library(self, tmp_path, monkeypatch):
+        # a library cached under other flags (here the -O2 the kernel once
+        # shipped with) is never loaded for the current ones
+        shipped = snn._KERNEL_FLAGS
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(snn, "_KERNEL_FLAGS", ("-O2",) + shipped[1:])
+        if snn._load_kernel() is None:
+            pytest.skip("no C compiler to build the LIF kernel")
+        (old,) = (tmp_path / "spikecodec").glob("cuba-*.so")
+        loaded = []
+        real_cdll = snn.ctypes.CDLL
+
+        def recording_cdll(path, *args, **kwargs):
+            loaded.append(path)
+            return real_cdll(path, *args, **kwargs)
+
+        monkeypatch.setattr(snn.ctypes, "CDLL", recording_cdll)
+        monkeypatch.setattr(snn, "_KERNEL_FLAGS", shipped)
+        assert snn._load_kernel() is not None
+        (new,) = set((tmp_path / "spikecodec").glob("cuba-*.so")) - {old}
+        assert loaded == [str(new)]
+
     def test_buffers_are_checked_before_their_address_is_passed(self):
         block = np.zeros((5, 2, 3))
         assert snn._ptr(block, (5, 2, 3)) == block.ctypes.data
