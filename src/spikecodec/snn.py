@@ -506,7 +506,8 @@ class _Adam:
 @dataclass(frozen=True)
 class EpochStats:
     """One epoch of training: mean batch loss and the accuracies after it.
-    train_accuracy is None when train ran with track_train_accuracy off."""
+    train_accuracy is None when train ran with track_train_accuracy off;
+    such a run also lists no epoch after its first perfect one (see train)."""
 
     epoch: int
     loss: float
@@ -516,6 +517,10 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
+    """The network with its best epoch's weights restored, and one
+    EpochStats per epoch that ran: cfg.epochs of them, or fewer when
+    track_train_accuracy was off and an epoch reached test accuracy 1.0."""
+
     net: CubaNetwork
     history: list
     best_epoch: int
@@ -539,9 +544,12 @@ def train(net: CubaNetwork, dataset, cfg: TrainConfig,
     one pass per epoch fills both accuracies.  With track_train_accuracy
     off, no training-split pass runs and every EpochStats.train_accuracy is
     None; the accuracy passes draw no random numbers, so weights, losses
-    and test accuracies are the same either way.  One workspace serves
-    every batch and accuracy pass of the call and is released when it
-    returns.
+    and test accuracies are the same either way.  Tracking off also stops
+    training after the first epoch at test accuracy 1.0: no later epoch can
+    beat it, so the restored weights, best_epoch and best_test_accuracy are
+    already those of the full run, and history ends at that epoch.  One
+    workspace serves every batch and accuracy pass of the call and is
+    released when it returns.
     """
     if len(dataset) == 0:
         raise EmptyDatasetError("training dataset is empty")
@@ -598,6 +606,8 @@ def train(net: CubaNetwork, dataset, cfg: TrainConfig,
             best_acc = test_acc
             best_epoch = epoch
             best_weights = [w.copy() for w in net.weights]
+        if best_acc == 1.0 and not track_train_accuracy:
+            break
     net.weights = best_weights
     return TrainResult(net=net, history=history, best_epoch=best_epoch,
                        best_test_accuracy=best_acc)

@@ -193,6 +193,7 @@ class TestArgumentErrors:
     PERTURB = ["perturb", "missing.spk"]
     # one 20 Hz sample per window: nothing for delta modulation to encode
     ONE_SAMPLE = ["--duration", "0.05"]
+    OVERSIZED = ["encode", "synth", "--scheme", "rate-uniform"]
 
     @pytest.mark.parametrize("args", [
         [*EVALUATE, "--users", "0"],
@@ -215,13 +216,19 @@ class TestArgumentErrors:
         ["train", *SYNTH_SMALL, *ONE_SAMPLE, "--scheme", "delta-mod", "--epochs", "1"],
         [*EVALUATE, *ONE_SAMPLE, "--schemes", "delta-mod"],
         ["encode", *SYNTH_SMALL, "--scheme", "delta-mod", "--thresholds", "0.3,0.1"],
+        # synthetic sets over dataio.SYNTH_MAX_BYTES, refused before numpy
+        # allocates them
+        [*OVERSIZED, "--classes", "99999999999999999999", "--samples-per-class", "2"],
+        [*OVERSIZED, "--duration", "1e300", "--sample-rate", "1"],
+        [*OVERSIZED, "--duration", "1e6"],
     ], ids=["no-users", "negative-rate", "zero-duration", "nan-duration",
             "sub-sample-duration", "no-noise-seeds", "negative-noise-seeds",
             "no-schemes", "stride-with-synth", "train-nan-lr", "train-inf-lr",
             "evaluate-nan-lr", "evaluate-inf-lr", "perturb-nan-p",
             "perturb-p-above-one", "perturb-negative-seed",
             "encode-delta-one-sample", "train-delta-one-sample",
-            "evaluate-delta-one-sample", "delta-unordered-thresholds"])
+            "evaluate-delta-one-sample", "delta-unordered-thresholds",
+            "oversized-classes", "oversized-duration-at-1hz", "oversized-duration"])
     def test_is_config_error(self, args, tmp_path, capsys):
         out = tmp_path / "out"
         assert run([*args, "--out", out]) == 2

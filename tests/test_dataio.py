@@ -27,6 +27,7 @@ from spikecodec.dataio import DEFAULT_LABELS, SessionRecord, atomic_write
 from spikecodec.snn import CubaNetwork, CubaParams, TrainConfig, save_checkpoint
 from spikecodec.errors import (
     BadMagicError,
+    ConfigError,
     DegenerateChannelWarning,
     LabelError,
     MissingColumnError,
@@ -251,6 +252,18 @@ class TestSynthDataset:
         for user in set(ds.users):
             _, test = ds.split_leave_one_user_out(user)
             assert set(test.labels.tolist()) == {0, 1, 2}
+
+    def test_size_cap_counts_float64_samples(self, monkeypatch):
+        from spikecodec import dataio
+
+        # 2 x 3 windows of 7 channels x 40 samples: 13,440 bytes
+        monkeypatch.setattr(dataio, "SYNTH_MAX_BYTES", 2 * 3 * 7 * 40 * 8)
+        assert len(synth_dataset(2, 3, seed=0)) == 6
+        for args in ((2, 4), (3, 3)):
+            with pytest.raises(ConfigError, match="GiB cap"):
+                synth_dataset(*args, seed=0)
+        with pytest.raises(ConfigError):
+            synth_dataset(2, 3, seed=0, seconds=2.05)
 
 
 class TestSpikeFiles:

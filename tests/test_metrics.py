@@ -23,6 +23,7 @@ from spikecodec.evaluation import (
     evaluate_scheme,
     fit_variant,
     mean_afr,
+    variant_config,
 )
 from spikecodec.metrics import robustness_sweep
 from spikecodec.errors import ConfigError, ShapeError
@@ -246,6 +247,71 @@ class TestRobustnessSweep:
         assert row.drops == {p: float(d / 2) for p, d in zip(p_list, drop_sums)}
         assert any(row.drops.values())
         assert row.accuracy == baseline
+
+    def test_stopping_at_the_perfect_epoch_leaves_the_row_unchanged(self, monkeypatch):
+        from spikecodec import TrainConfig, evaluation
+
+        # delta-mod on this split first reaches test accuracy 1.0 at epoch 2 of 8
+        ds = synth_dataset(3, 8, seed=1, seconds=1.0)
+        train_ds, test_ds = ds.split_leave_one_user_out(sorted(set(ds.users))[0])
+        args = ("delta-mod", variant_config("delta-mod", seed=1), train_ds, test_ds,
+                TrainConfig(epochs=8, learning_rate=1e-2, batch_size=4, seed=1))
+        kwargs = {"p_list": (0.05, 0.2, 0.4), "noise_seeds": 2, "noise_seed_base": 7}
+        monkeypatch.setattr(evaluation, "HIDDEN", (16,))
+        original = evaluation.train
+        epochs_run = []
+
+        def recorded(*a, **k):
+            result = original(*a, **k)
+            epochs_run.append(len(result.history))
+            return result
+
+        monkeypatch.setattr(evaluation, "train", recorded)
+        stopped = evaluate_scheme(*args, **kwargs)
+        # with tracking on, train runs all 8 epochs: the full-length row
+        monkeypatch.setattr(evaluation, "train", lambda *a, **k: recorded(
+            *a, **{**k, "track_train_accuracy": True}))
+        full = evaluate_scheme(*args, **kwargs)
+        assert epochs_run == [3, 8]
+        assert stopped == full
+        assert stopped.accuracy == 1.0 and any(stopped.drops.values())
+
+    def test_divergence_after_the_perfect_epoch_no_longer_reaches_evaluate(
+            self, monkeypatch, tmp_path, capsys):
+        from spikecodec import cli, evaluation, snn
+
+        accuracy, loss_and_grads, train = (snn._accuracy, snn._loss_and_grads,
+                                           evaluation.train)
+        test_accuracies = []
+
+        def watched(net, x, labels, *rest):
+            acc = accuracy(net, x, labels, *rest)
+            if len(labels) == 6:  # the held-out user's windows
+                test_accuracies.append(acc)
+            return acc
+
+        def diverging(*a, **k):
+            loss, grads = loss_and_grads(*a, **k)
+            return (float("nan") if 1.0 in test_accuracies else loss), grads
+
+        monkeypatch.setattr(snn, "_accuracy", watched)
+        monkeypatch.setattr(snn, "_loss_and_grads", diverging)
+        monkeypatch.setattr(evaluation, "HIDDEN", (16,))
+        # the setup of the test above, through the command line
+        argv = ["evaluate", "synth", "--classes", "3", "--samples-per-class", "8",
+                "--duration", "1.0", "--synth-seed", "1", "--schemes", "delta-mod",
+                "--seed", "1", "--epochs", "8", "--lr", "1e-2", "--batch", "4",
+                "--train-seed", "1", "--out"]
+        assert cli.main([*argv, str(tmp_path / "stopped")]) == 0
+        assert test_accuracies[-1] == 1.0 and len(test_accuracies) == 3
+        capsys.readouterr()
+
+        # the full-length run goes on past the perfect epoch and diverges
+        test_accuracies.clear()
+        monkeypatch.setattr(evaluation, "train", lambda *a, **k: train(
+            *a, **{**k, "track_train_accuracy": True}))
+        assert cli.main([*argv, str(tmp_path / "full")]) == 4
+        assert capsys.readouterr().err == "error: loss became non-finite at epoch 3\n"
 
     def test_evaluation_runs_one_clean_pass_for_all_seeds(self, monkeypatch):
         from spikecodec import TrainConfig, evaluation, snn

@@ -293,6 +293,38 @@ class TestTraining:
         assert all(isinstance(h.train_accuracy, float) for h in on.history)
         assert all(h.train_accuracy is None for h in off.history)
 
+    @staticmethod
+    def perfect_at_epoch_one(track):
+        # binary6 with user 0 held out: test accuracy 0.83, 1.0, 1.0, 0.83,
+        # 0.83, 0.83 over the six epochs of a full run
+        ds = synth_dataset(3, 8, seed=1, seconds=1.0)
+        train_ds, test_ds = ds.split_leave_one_user_out(sorted(set(ds.users))[0])
+        config = variant_config("binary6", seed=1)
+        net = CubaNetwork((42, 16, 3), dropout_p=0.0, seed=2)
+        cfg = TrainConfig(epochs=6, learning_rate=5e-3, batch_size=4, seed=4)
+        return train(net, encode_dataset(train_ds, config), cfg,
+                     test_set=encode_dataset(test_ds, config),
+                     track_train_accuracy=track)
+
+    def test_tracking_off_stops_after_the_first_perfect_epoch(self):
+        on, off = self.perfect_at_epoch_one(True), self.perfect_at_epoch_one(False)
+        first = [h.test_accuracy for h in on.history].index(1.0)
+        assert first == 1
+        assert len(off.history) == first + 1
+        assert [(h.loss, h.test_accuracy) for h in off.history] == [
+            (h.loss, h.test_accuracy) for h in on.history[:first + 1]]
+        assert [w.tobytes() for w in off.net.weights] == [
+            w.tobytes() for w in on.net.weights]
+        assert off.best_epoch == on.best_epoch == first
+        assert off.best_test_accuracy == on.best_test_accuracy == 1.0
+
+    def test_tracking_on_keeps_every_epoch_after_a_perfect_one(self):
+        on = self.perfect_at_epoch_one(True)
+        accs = [h.test_accuracy for h in on.history]
+        assert len(on.history) == 6 and [h.epoch for h in on.history] == list(range(6))
+        assert accs[1] == 1.0 and min(accs[2:]) < 1.0
+        assert all(isinstance(h.train_accuracy, float) for h in on.history)
+
     @pytest.mark.parametrize("track", (True, False))
     def test_without_a_test_set_one_accuracy_pass_per_epoch(self, track,
                                                              monkeypatch):
