@@ -1,11 +1,15 @@
-/* CUBA-LIF recurrence of one layer over a (T, width) block, width = B * n.
+/* CUBA-LIF recurrence of one layer over lanes of a (T, B * n) block.
  *
  * The matmuls stay in numpy; these loops are the element-wise time
  * recurrences of snn._lif_forward and snn._lif_backward, written with the
  * same operations in the same order, so that built without floating-point
  * contraction (-ffp-contract=off) they give bitwise the same results.
- * state is a zeroed (2, width) block: u and v (forward), or cu and cvp
- * (backward), one row each.
+ * A call covers width lanes of blocks whose rows lie stride doubles apart:
+ * every pointer (the blocks, the mask, the state) points at the call's
+ * first lane, and stride is the block's full B * n.  state is a zeroed
+ * (2, stride) block: u and v (forward), or cu and cvp (backward), one row
+ * each.  Lanes never meet, so snn can run a block as two calls on disjoint
+ * lane ranges, one per thread, with the bits of one call over all of it.
  *
  * The training tape holds only each layer's input and pre-reset
  * potentials: the forward pass writes the spikes times the dropout mask
@@ -50,17 +54,17 @@
 INLINE void forward_loop(double *restrict drive, double *restrict v_rec,
                          const double *restrict mask, double *restrict u,
                          double *restrict v, long t_len, long width,
-                         double au, double av, double thr)
+                         long stride, double au, double av, double thr)
 {
     for (long t = 0; t < t_len; t++) {
-        double *restrict d = drive + t * width;
+        double *restrict d = drive + t * stride;
         for (long i = 0; i < width; i++) {
             double ui = au * u[i] + d[i];
             double vi = av * v[i] + ui;
             /* the quiet comparison gives the spike without a branch */
             double s = isgreaterequal(vi, thr);
             if (v_rec)
-                v_rec[t * width + i] = vi;
+                v_rec[t * stride + i] = vi;
             u[i] = ui;
             v[i] = vi * (1.0 - s);
             d[i] = mask ? s * mask[i] : s;
@@ -74,14 +78,17 @@ INLINE void forward_loop(double *restrict drive, double *restrict v_rec,
 CLONED
 void cuba_forward(double *restrict drive, double *restrict v_rec,
                   const double *restrict mask, double *restrict state,
-                  long t_len, long width, double au, double av, double thr)
+                  long t_len, long width, long stride, double au, double av,
+                  double thr)
 {
-    double *u = state, *v = state + width;
+    double *u = state, *v = state + stride;
 
     if (v_rec || mask)
-        forward_loop(drive, v_rec, mask, u, v, t_len, width, au, av, thr);
+        forward_loop(drive, v_rec, mask, u, v, t_len, width, stride, au, av,
+                     thr);
     else
-        forward_loop(drive, NULL, NULL, u, v, t_len, width, au, av, thr);
+        forward_loop(drive, NULL, NULL, u, v, t_len, width, stride, au, av,
+                     thr);
 }
 
 /* Reverse recurrence with the fast-sigmoid surrogate, in place: g holds the
@@ -90,14 +97,14 @@ void cuba_forward(double *restrict drive, double *restrict v_rec,
 CLONED
 void cuba_backward(const double *restrict v, double *restrict g,
                    const double *restrict mask, double *restrict state,
-                   long t_len, long width, double au, double av, double thr,
-                   double slope)
+                   long t_len, long width, long stride, double au, double av,
+                   double thr, double slope)
 {
-    double *restrict cu = state, *restrict cvp = state + width;
+    double *restrict cu = state, *restrict cvp = state + stride;
 
     for (long t = t_len - 1; t >= 0; t--) {
-        const double *restrict vt = v + t * width;
-        double *restrict gt = g + t * width;
+        const double *restrict vt = v + t * stride;
+        double *restrict gt = g + t * stride;
         for (long i = 0; i < width; i++) {
             double a = 1.0 + slope * fabs(vt[i] - thr);
             double sd = 1.0 / (a * a);

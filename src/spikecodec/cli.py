@@ -43,6 +43,7 @@ from .evaluation import (
     DEFAULT_P_LIST,
     VARIANT_NAMES,
     VARIANTS,
+    check_encoded_size,
     encode_dataset,
     evaluate_scheme,
     fit_variant,
@@ -231,6 +232,9 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"--schemes names {', '.join(repeated)} more than once")
     train_ds, test_ds, train_cfg = _training_inputs(args)
     configs = [_config_from_args(args, name) for name in names]
+    for config in configs:  # before the first row trains
+        for split in (train_ds, test_ds):
+            check_encoded_size(split, config)
     rows = []
     for name, config in zip(names, configs):
         row = evaluate_scheme(name, config, train_ds, test_ds, train_cfg,

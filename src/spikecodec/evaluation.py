@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EncodingConfig, Rng, Scheme, derive_seed
+from .core import EncodingConfig, Rng, Scheme, derive_seed, resolve_threshold_banks
 from .dataio import WindowedDataset, downsample
 from .decoders import decode, decode_binary, decode_delta, decode_rate, decode_ttfs
 from .encoders import (
@@ -36,6 +36,11 @@ from .snn import CubaNetwork, TrainConfig, train
 DEFAULT_P_LIST = (0.001, 0.01, 0.1)
 # Hidden layer widths of the classifier fit_variant builds.
 HIDDEN = (256, 64)
+# The most spike bytes one encode_dataset call may make.  --interp 100000
+# on delta-mod plans 8.2 GB for the default synthetic set, which ended in a
+# MemoryError; the largest set the README, the CI walk-through and the
+# benchmark encode is 0.84 MB.
+ENCODED_MAX_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -46,33 +51,42 @@ class Variant:
     are its codec; decode lands on the tensor's own time grid (reconstruct
     maps it onto the original samples).  params names the EncodingConfig
     fields the codec reads, plus the seed that names the encoding stream;
-    every other field keeps its default.  noise_mode is its default
-    spike-error model.  n_bits, when set, fixes the bit depth.
+    every other field keeps its default.  shape(config, channels, samples)
+    is the (trains, timesteps) that encode gives a window of that size.
+    noise_mode is its default spike-error model.  n_bits, when set, fixes
+    the bit depth.
     """
 
     scheme: Scheme
     encode: Callable
     decode: Callable
     params: tuple
+    shape: Callable
     noise_mode: NoiseMode
     n_bits: int = None
 
 
-# One (encode, decode, params) triple per family: the codec reads from the
-# config exactly the fields params names; v0 is the initial value that
-# delta modulation integrates from.
+# One (encode, decode, params, shape) tuple per family: the codec reads
+# from the config exactly the fields params names; v0 is the initial value
+# that delta modulation integrates from.
 _RATE = (lambda s, c, rng: encode_rate(s, RateMapping(c.scheme), c.steps_per_sample, rng),
          lambda t, c, v0: decode_rate(t, RateMapping(c.scheme), c.steps_per_sample),
-         ("steps_per_sample", "seed"))
+         ("steps_per_sample", "seed"),
+         lambda c, channels, samples: (1, samples * c.steps_per_sample))
 _TTFS = (lambda s, c, rng: encode_ttfs(s, c.scheme, c.steps_per_sample),
          lambda t, c, v0: decode_ttfs(t, c.scheme, c.steps_per_sample),
-         ("steps_per_sample", "seed"))
+         ("steps_per_sample", "seed"),
+         lambda c, channels, samples: (1, samples * c.steps_per_sample))
 _BINARY = (lambda s, c, rng: encode_binary(s, c.n_bits),
            lambda t, c, v0: decode_binary(t),
-           ("n_bits", "seed"))
+           ("n_bits", "seed"),
+           lambda c, channels, samples: (c.n_bits, samples))
 _DELTA = (lambda s, c, rng: encode_delta(s, c.thresholds, c.interp_factor),
           lambda t, c, v0: decode_delta(t, c.thresholds, v0),
-          ("interp_factor", "thresholds", "seed"))
+          ("interp_factor", "thresholds", "seed"),
+          lambda c, channels, samples: (
+              resolve_threshold_banks(c.thresholds, channels).shape[1],
+              (samples - 1) * c.interp_factor))
 _FLIP, _SIGNED = NoiseMode.FLIP_BINARY, NoiseMode.SIGNED_PERTURB
 
 VARIANTS = MappingProxyType({
@@ -113,10 +127,28 @@ def variant_config(name: str, steps_per_sample: int = 50, n_bits: int = 6,
     return EncodingConfig(v.scheme, **{k: given[k] for k in v.params})
 
 
+def check_encoded_size(dataset: WindowedDataset, config: EncodingConfig):
+    """ConfigError when encoding every window of dataset under config would
+    make more than ENCODED_MAX_BYTES of spikes (windows x trains x channels
+    x timesteps int8 values, counted in Python ints from the window sizes),
+    before anything is encoded."""
+    shape = codec(config.scheme).shape
+    size = 0
+    for sig, _ in dataset:
+        trains, steps = shape(config, sig.n_channels, sig.n_samples)
+        size += trains * sig.n_channels * steps
+    if size > ENCODED_MAX_BYTES:
+        raise ConfigError(f"encoding {len(dataset)} windows as {config.scheme.value} "
+                          f"makes {size:,} spike bytes, over the "
+                          f"{ENCODED_MAX_BYTES:,}-byte cap")
+
+
 def encode_dataset(dataset: WindowedDataset, config: EncodingConfig,
                    base_seed: int = None) -> list:
     """Encode every window; stochastic schemes get one child seed per window
-    so the result is reproducible and order-independent."""
+    so the result is reproducible and order-independent.  A set over the
+    size cap is refused first (check_encoded_size)."""
+    check_encoded_size(dataset, config)
     if base_seed is None:
         base_seed = config.seed
     return [

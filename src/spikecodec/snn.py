@@ -24,6 +24,25 @@ sigmoid).  The current gradients of a layer overwrite its spike gradients
 in place, so the backward pass needs two gradient blocks in all.  At
 widths 7-256-64-3 a training step holds 973 * T * B float64s (49.8 MB at
 T = 400, B = 16).
+
+A large op of a hidden layer runs in two fixed halves, the first on the
+calling thread and the second on one helper thread; numpy's matmul and the
+kernel call both release the GIL.  The forward GEMM and the input-gradient
+GEMM split the rows of the (T * B) block, the dW GEMM its output columns,
+and a kernel call the B * n lanes (the kernel's stride argument lets one
+call cover a lane range).  A half boundary is half the size rounded up to
+a multiple of 8, whatever the timing or the CPU count, and each row,
+column or lane is computed by the same operations as in the whole op, so
+the results are bitwise those of one call: on OpenBLAS's SkylakeX kernels
+at any BLAS thread count, and on every kernel checked with one BLAS thread.
+(With several, OpenBLAS's own partition of a GEMM already makes a row's
+bits on its Haswell-class kernels depend on the thread count, whole or
+split.)  The output layer is never split: its 64 -> 3 GEMM has no row-slice
+rule that keeps its bits in every block size.  Ops below SPLIT_WORK stay on
+the calling thread, which keeps batch-1 inference and the binary variants'
+T = 20 steps serial.  The helper thread is made when a process that may
+run on at least two CPUs (os.sched_getaffinity) first splits an op; a
+forked child makes its own, and a one-CPU process makes none.
 """
 
 from __future__ import annotations
@@ -124,9 +143,9 @@ def _load_kernel():
     except (OSError, subprocess.SubprocessError):
         return None
     ptr, n, real = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    lib.cuba_forward.argtypes = [ptr, ptr, ptr, ptr, n, n, real, real, real]
+    lib.cuba_forward.argtypes = [ptr, ptr, ptr, ptr, n, n, n, real, real, real]
     lib.cuba_forward.restype = None
-    lib.cuba_backward.argtypes = [ptr, ptr, ptr, ptr, n, n, real, real, real, real]
+    lib.cuba_backward.argtypes = [ptr, ptr, ptr, ptr, n, n, n, real, real, real, real]
     lib.cuba_backward.restype = None
     return lib
 
@@ -142,6 +161,64 @@ def _ptr(a: np.ndarray, shape) -> int:
         raise ShapeError(f"kernel buffer {a.shape} {a.dtype} strides {a.strides} "
                          f"is not a C-contiguous float64 block of shape {tuple(shape)}")
     return a.ctypes.data
+
+
+def _lane(address, lo: int):
+    """The address of float64 lane lo of the block at address, or None for
+    a block the kernel call omits."""
+    return None if address is None else address + 8 * lo
+
+
+# An op of a hidden layer runs in two halves, one on the calling thread and
+# one on the helper thread, when its work reaches SPLIT_WORK units: one
+# unit is a multiply-add of a GEMM, and a kernel call costs KERNEL_WORK
+# units per lane and step (a lane-step took the time of 8-14 multiply-adds
+# on one 2 GHz Xeon thread).  The hand-off costs 20 us to 0.3 ms, the more
+# the longer the helper slept, so small ops stay whole: 2^23 keeps serial
+# every op of a batch-1, T = 400 pass (the largest, the 256 -> 64 GEMM, is
+# 6.6e6) and of a binary training step at T = 20 and B = 16 (5.7e6 at 70
+# inputs).  It may not go below 2^21: OpenBLAS's SkylakeX build gives a
+# GEMM of at most 10^6 multiply-adds to small-matrix kernels that round
+# differently, and the halves of a 2^21 op stay above that.
+SPLIT_WORK = 1 << 23
+KERNEL_WORK = 8
+
+_helper = None  # (pid, the helper executor or None) of the process that made it
+
+
+def _helper_thread():
+    """The process's one helper thread, as a single-worker executor made on
+    first use; None when the process may run on only one CPU.  The pid
+    check makes a forked child, which has none of its parent's threads,
+    make its own."""
+    global _helper
+    if _helper is None or _helper[0] != os.getpid():
+        pool = None
+        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+            from concurrent.futures import ThreadPoolExecutor
+            pool = ThreadPoolExecutor(1, thread_name_prefix="spikecodec-half")
+        _helper = (os.getpid(), pool)
+    return _helper[1]
+
+
+def _in_halves(fn, size: int, work: int):
+    """Run fn(lo, hi) over range(size): as one call, or, when work reaches
+    SPLIT_WORK and there is a helper thread, as fn(0, mid) on the calling
+    thread and fn(mid, size) on the helper, with mid half of size rounded
+    up to a multiple of 8; the output layer's ops pass work 0.  The halves
+    depend on size alone, never on timing or the CPU count.  Returns only
+    once both halves are done; an exception from either propagates."""
+    mid = (size + 15) // 16 * 8
+    helper = _helper_thread() if SPLIT_WORK <= work and mid < size else None
+    if helper is None:
+        fn(0, size)
+        return
+    other = helper.submit(fn, mid, size)
+    try:
+        fn(0, mid)
+    finally:
+        other.exception()  # waits: the other half may still be writing
+    other.result()
 
 
 @dataclass(frozen=True)
@@ -291,24 +368,30 @@ class _Workspace:
 
 
 def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
-                 mask=None):
+                 mask=None, split: bool = True):
     """LIF recurrence over a (T, B, n) block of input currents.
 
     Overwrites drive with the spikes, times mask (a (B, n) dropout mask) if
     one is given, and, if v_rec is given, records the pre-reset potentials
     into it.  Hard-threshold runs go to the compiled kernel when there is
-    one; the numpy loop below is the reference it matches bit for bit.
+    one, in two halves of the B * n lanes when split is set and the block
+    is large (_in_halves); the numpy loop below is the reference it matches
+    bit for bit.
     """
     t_len, b, n = drive.shape
-    state = np.zeros((2, b * n))
+    width = b * n
+    state = np.zeros((2, width))
     kernel = None if soft else _kernel()
     if kernel is not None:
-        kernel.cuba_forward(_ptr(drive, drive.shape),
-                            None if v_rec is None else _ptr(v_rec, drive.shape),
-                            None if mask is None else _ptr(mask, (b, n)),
-                            _ptr(state, (2, b * n)), t_len, b * n,
-                            1.0 - p.current_decay, 1.0 - p.voltage_decay,
-                            p.threshold)
+        d, vr, m, st = (_ptr(drive, drive.shape),
+                        None if v_rec is None else _ptr(v_rec, drive.shape),
+                        None if mask is None else _ptr(mask, (b, n)),
+                        _ptr(state, (2, width)))
+        _in_halves(lambda lo, hi: kernel.cuba_forward(
+            d + 8 * lo, _lane(vr, lo), _lane(m, lo), st + 8 * lo, t_len,
+            hi - lo, width, 1.0 - p.current_decay, 1.0 - p.voltage_decay,
+            p.threshold),
+            width, t_len * width * KERNEL_WORK if split else 0)
         return
     au = 1.0 - p.current_decay
     av = 1.0 - p.voltage_decay
@@ -345,15 +428,18 @@ def _simulate(net: CubaNetwork, x: np.ndarray, soft: bool = False,
     current = work.take(("x", 0), (t_len, b, f))
     np.copyto(current, x.transpose(2, 0, 1))
     tape = []
+    rows = t_len * b
     for li in range(net.n_layers):
         w = net.weights[li]
         n_out, n_in = w.shape
+        hidden = li < net.n_layers - 1
         drive = work.take(("x", li + 1), (t_len, b, n_out))
-        np.matmul(current.reshape(t_len * b, n_in), w.T,
-                  out=drive.reshape(t_len * b, n_out))
+        x_in, d = current.reshape(rows, n_in), drive.reshape(rows, n_out)
+        _in_halves(lambda lo, hi: np.matmul(x_in[lo:hi], w.T, out=d[lo:hi]),
+                   rows, rows * n_in * n_out if hidden else 0)
         v_rec = work.take(("v", li), drive.shape) if record else None
         _lif_forward(drive, v_rec, net.params[li], soft,
-                     mask=_dropout_mask(net, dropout_masks, li))
+                     mask=_dropout_mask(net, dropout_masks, li), split=hidden)
         if record:
             tape.append({"x": current, "v": v_rec})
         current = drive
@@ -431,40 +517,53 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
     grads = [None] * net.n_layers
     g = work.take(("g", (net.n_layers - 1) % 2), out.shape)
     g[...] = g_rates / t_len
+    rows = t_len * b
     for li in range(net.n_layers - 1, -1, -1):
         layer = tape[li]
         w = net.weights[li]
         n_out, n_in = w.shape
+        hidden = li < net.n_layers - 1
+        macs = rows * n_in * n_out if hidden else 0
         _lif_backward(layer["v"], g, _dropout_mask(net, dropout_masks, li),
-                      net.params[li], soft)
-        g_u = g.reshape(t_len * b, n_out)
-        x_in = layer["x"].reshape(t_len * b, n_in)
+                      net.params[li], soft, split=hidden)
+        g_u = g.reshape(rows, n_out)
+        x_in = layer["x"].reshape(rows, n_in)
         # OpenBLAS gives bitwise the same dW either way; the transposed form
         # is faster for an input narrower than the layer (2.1 against 6.3 ms
         # at 6400 x 7 -> 256 on one thread) and slower otherwise (10.2
         # against 7.5 ms at 6400 x 256 -> 64)
-        grads[li] = (x_in.T @ g_u).T if n_in < n_out else g_u.T @ x_in
+        left, right = (x_in.T, g_u) if n_in < n_out else (g_u.T, x_in)
+        dw = np.empty((left.shape[0], right.shape[1]))
+        _in_halves(lambda lo, hi: np.matmul(left, right[:, lo:hi], out=dw[:, lo:hi]),
+                   right.shape[1], macs)
+        grads[li] = dw.T if n_in < n_out else dw
         if li > 0:  # the network input's gradient is never read
             g = work.take(("g", (li - 1) % 2), (t_len, b, n_in))
-            np.matmul(g_u, w, out=g.reshape(t_len * b, n_in))
+            g_in = g.reshape(rows, n_in)
+            _in_halves(lambda lo, hi: np.matmul(g_u[lo:hi], w, out=g_in[lo:hi]),
+                       rows, macs)
     return loss, grads
 
 
-def _lif_backward(v_seq, g, mask, p: CubaParams, soft: bool):
+def _lif_backward(v_seq, g, mask, p: CubaParams, soft: bool, split: bool = True):
     """Reverse LIF recurrence over a (T, B, n) block, in place: g holds the
     spike gradients (times the dropout mask, if any) on entry and the
     synaptic-current gradients on return.  The spikes are re-derived from
-    the pre-reset potentials v_seq as _lif_forward made them.  Dispatched
-    like _lif_forward."""
+    the pre-reset potentials v_seq as _lif_forward made them.  Dispatched,
+    and split, like _lif_forward."""
     t_len, b, n = g.shape
-    state = np.zeros((2, b * n))
+    width = b * n
+    state = np.zeros((2, width))
     kernel = None if soft else _kernel()
     if kernel is not None:
-        kernel.cuba_backward(_ptr(v_seq, g.shape), _ptr(g, g.shape),
-                             None if mask is None else _ptr(mask, (b, n)),
-                             _ptr(state, (2, b * n)), t_len, b * n,
-                             1.0 - p.current_decay, 1.0 - p.voltage_decay,
-                             p.threshold, SURROGATE_SLOPE)
+        vs, gs, m, st = (_ptr(v_seq, g.shape), _ptr(g, g.shape),
+                         None if mask is None else _ptr(mask, (b, n)),
+                         _ptr(state, (2, width)))
+        _in_halves(lambda lo, hi: kernel.cuba_backward(
+            vs + 8 * lo, gs + 8 * lo, _lane(m, lo), st + 8 * lo, t_len,
+            hi - lo, width, 1.0 - p.current_decay, 1.0 - p.voltage_decay,
+            p.threshold, SURROGATE_SLOPE),
+            width, t_len * width * KERNEL_WORK if split else 0)
         return
     au = 1.0 - p.current_decay
     av = 1.0 - p.voltage_decay

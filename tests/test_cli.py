@@ -221,6 +221,10 @@ class TestArgumentErrors:
         [*OVERSIZED, "--classes", "99999999999999999999", "--samples-per-class", "2"],
         [*OVERSIZED, "--duration", "1e300", "--sample-rate", "1"],
         [*OVERSIZED, "--duration", "1e6"],
+        # encoded sets over evaluation.ENCODED_MAX_BYTES, refused before the
+        # first window is encoded (evaluate: before the first row trains)
+        ["encode", "synth", "--scheme", "delta-mod", "--interp", "100000"],
+        [*EVALUATE, "--schemes", "rate-uniform,delta-mod", "--interp", "10000000"],
     ], ids=["no-users", "negative-rate", "zero-duration", "nan-duration",
             "sub-sample-duration", "no-noise-seeds", "negative-noise-seeds",
             "no-schemes", "stride-with-synth", "train-nan-lr", "train-inf-lr",
@@ -228,7 +232,8 @@ class TestArgumentErrors:
             "perturb-p-above-one", "perturb-negative-seed",
             "encode-delta-one-sample", "train-delta-one-sample",
             "evaluate-delta-one-sample", "delta-unordered-thresholds",
-            "oversized-classes", "oversized-duration-at-1hz", "oversized-duration"])
+            "oversized-classes", "oversized-duration-at-1hz", "oversized-duration",
+            "oversized-interp", "evaluate-oversized-interp"])
     def test_is_config_error(self, args, tmp_path, capsys):
         out = tmp_path / "out"
         assert run([*args, "--out", out]) == 2

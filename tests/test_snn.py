@@ -1,12 +1,18 @@
 """CUBA neuron dynamics, the training loop, checkpoint persistence, and the
 compiled LIF recurrence."""
 
+import contextlib
 import dataclasses
+import hashlib
 import os
+import select
 import shutil
+import signal
 import struct
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -871,3 +877,266 @@ class TestCompiledKernel:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, env=env)
         assert out.stdout.strip() == "0"
+
+
+def openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
+    None when none is found."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.restype = ctypes.c_int
+                put.argtypes = [ctypes.c_int]
+                return get, put
+    return None
+
+
+@pytest.fixture
+def halves(monkeypatch):
+    """A fresh helper thread that records the (lo, hi) of every half it is
+    handed, made as on a two-CPU host, so that a one-CPU host runs both
+    halves too; shut down afterwards.  OpenBLAS runs one thread meanwhile:
+    with more it splits each GEMM across them, and on its Haswell-class
+    kernels a row's bits then depend on that partition, whole or split."""
+    blas = openblas_threads()
+    if blas is not None:
+        threads = blas[0]()
+        blas[1](1)
+    monkeypatch.setattr(snn, "_helper", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pool = snn._helper_thread()
+    handed = []
+    submit = pool.submit
+
+    def recording_submit(fn, lo, hi):
+        handed.append((lo, hi))
+        return submit(fn, lo, hi)
+
+    monkeypatch.setattr(pool, "submit", recording_submit)
+    yield handed
+    pool.shutdown()
+    if blas is not None:
+        blas[1](threads)
+
+
+@contextlib.contextmanager
+def whole(monkeypatch):
+    """A context in which no op is split."""
+    with monkeypatch.context() as m:
+        m.setattr(snn, "SPLIT_WORK", 1 << 62)
+        yield
+
+
+class TestHalves:
+    """Every op of a hidden layer split in two halves, one on the helper
+    thread, gives bitwise the results of the whole op; the helper's
+    failures and the process's fork and CPU count are handled."""
+
+    # every (T, F, B) of the blocks evaluate builds: T = 400 (rate, TTFS),
+    # 95 (delta-mod) and 20 (binary); the input widths 7, 35, 60 and 70; the
+    # full batch, a short last batch, the last accuracy block and the sweep
+    @pytest.mark.parametrize("t_len", (400, 95, 20))
+    @pytest.mark.parametrize("n_in", (7, 35, 60, 70))
+    @pytest.mark.parametrize("batch", (16, 7, 13, 45))
+    def test_split_blocks_are_bitwise_equal_to_whole_ones(self, t_len, n_in, batch,
+                                                          halves, monkeypatch):
+        rng = np.random.default_rng(t_len * 10000 + n_in * 100 + batch)
+        x = (rng.uniform(size=(batch, n_in, t_len)) < 0.3).astype(np.float64)
+        labels = rng.integers(0, 3, size=batch)
+        net = CubaNetwork((n_in, 256, 64, 3), dropout_p=0.1,
+                          seed=int(rng.integers(1000)))
+        masks = [(rng.uniform(size=(batch, n)) < 0.9) / 0.9 for n in (256, 64)]
+
+        def run():
+            loss, grads = _loss_and_grads(net, x, labels, soft=False,
+                                          dropout_masks=masks)
+            return loss, grads, output_rates(net, x)
+
+        # the floor snn.SPLIT_WORK documents: every block splits its
+        # 256 -> 64 GEMMs at least
+        monkeypatch.setattr(snn, "SPLIT_WORK", 1 << 21)
+        loss, grads, rates = run()
+        assert halves
+        with whole(monkeypatch):
+            loss_w, grads_w, rates_w = run()
+        assert rates.any()
+        assert loss == loss_w
+        for g, g_w in zip(grads, grads_w):
+            assert g.shape == g_w.shape and g.strides == g_w.strides
+            np.testing.assert_array_equal(g, g_w)
+        np.testing.assert_array_equal(rates, rates_w)
+
+    def test_the_output_layer_is_never_split(self, halves, monkeypatch):
+        monkeypatch.setattr(snn, "SPLIT_WORK", 1)
+        net = CubaNetwork((7, 3), dropout_p=0.0, seed=1)
+        x = (np.random.default_rng(2).uniform(size=(45, 7, 400)) < 0.3) * 1.0
+        _loss_and_grads(net, x, np.zeros(45, dtype=np.int64), soft=False)
+        output_rates(net, x)
+        assert halves == []
+
+    def test_small_blocks_stay_serial_and_large_steps_split(self, halves):
+        # at the shipped SPLIT_WORK: the batch-1 T = 400 pass of infer and a
+        # binary training step (T = 20, B = 16) hand nothing to the helper
+        rng = np.random.default_rng(3)
+        for n_in, t_len, batch, split in ((7, 400, 1, False), (70, 20, 16, False),
+                                          (7, 400, 16, True)):
+            net = CubaNetwork((n_in, 256, 64, 3), dropout_p=0.0, seed=1)
+            x = (rng.uniform(size=(batch, n_in, t_len)) < 0.3) * 1.0
+            _loss_and_grads(net, x, np.zeros(batch, dtype=np.int64), soft=False)
+            output_rates(net, x)
+            assert bool(halves) == split, (n_in, t_len, batch)
+
+    @pytest.mark.parametrize("width", TestCompiledKernel.WIDTHS)
+    def test_kernel_lane_halves_equal_one_whole_call(self, width, halves,
+                                                     monkeypatch):
+        # lanes 8k and beyond go to the helper; the inputs put lanes exactly
+        # at the firing threshold; the block splits at SPLIT_WORK exactly
+        if snn._kernel() is None:
+            pytest.skip("no C compiler to build the LIF kernel")
+        p = TestCompiledKernel.PARAMS
+        for masked in (False, True):
+            drive, mask = TestCompiledKernel.width_inputs(width, masked)
+            spike_grads = np.random.default_rng(width + 2).normal(size=drive.shape)
+
+            def run():
+                runs = []
+                for record in (False, True):
+                    spikes = drive.copy()
+                    v_rec = np.full(drive.shape, -1.0) if record else None
+                    _lif_forward(spikes, v_rec, p, mask=mask)
+                    runs += [spikes, v_rec]
+                g = spike_grads.copy()
+                _lif_backward(drive, g, mask, p, soft=False)
+                return runs + [g]
+
+            monkeypatch.setattr(snn, "SPLIT_WORK", drive.size * snn.KERNEL_WORK)
+            del halves[:]
+            split = run()
+            mid = (width + 15) // 16 * 8
+            assert halves == ([(mid, width)] * 3 if mid < width else [])
+            with whole(monkeypatch):
+                whole_run = run()
+            for a, b in zip(split, whole_run):
+                np.testing.assert_array_equal(a, b)
+            monkeypatch.setattr(snn, "SPLIT_WORK", drive.size * snn.KERNEL_WORK + 1)
+            del halves[:]
+            run()
+            assert halves == []
+
+    @pytest.mark.parametrize("failing", ("calling", "helper"))
+    def test_an_exception_in_either_half_propagates(self, failing, halves):
+        def fn(lo, hi):
+            if (lo == 0) == (failing == "calling"):
+                raise ValueError(f"{failing} half")
+
+        with pytest.raises(ValueError, match=f"{failing} half"):
+            snn._in_halves(fn, 16, snn.SPLIT_WORK)
+        assert halves == [(8, 16)]
+
+    def test_the_caller_waits_for_the_other_half_before_raising(self, halves):
+        block = np.zeros(16)
+
+        def fn(lo, hi):
+            if lo == 0:
+                raise ValueError("calling half")
+            time.sleep(0.2)
+            block[lo:hi] = 1.0
+
+        with pytest.raises(ValueError):
+            snn._in_halves(fn, 16, snn.SPLIT_WORK)
+        np.testing.assert_array_equal(block, [0.0] * 8 + [1.0] * 8)
+
+    def test_a_forked_child_trains_on_a_helper_of_its_own(self, halves, monkeypatch):
+        monkeypatch.setattr(snn, "SPLIT_WORK", 1)
+        data = small_task()
+
+        def trained_weights():
+            net = CubaNetwork((7, 16, 8, 3), dropout_p=0.1, seed=2)
+            cfg = TrainConfig(epochs=2, learning_rate=2e-3, batch_size=4, seed=4)
+            result = train(net, data, cfg)
+            return hashlib.sha256(b"".join(w.tobytes() for w in result.net.weights))
+
+        expected = trained_weights().hexdigest()
+        assert halves  # the parent's helper thread is running
+        parent_helper = snn._helper
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report, and never return into pytest
+            try:
+                digest = trained_weights().hexdigest()
+                own = (snn._helper[0] == os.getpid()
+                       and snn._helper[1] is not parent_helper[1])
+                os.write(write, f"{digest} {own}".encode())
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            ready, _, _ = select.select([read], [], [], 60.0)
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            report = os.read(read, 200).decode() if ready else "timed out"
+        finally:
+            os.close(read)
+            os.waitpid(pid, 0)
+        assert report == f"{expected} True"
+
+    def test_threads_sharing_the_helper_keep_their_own_results(self, halves,
+                                                              monkeypatch):
+        # four callers on one helper, the interpreter switching threads
+        # every microsecond: each result is bitwise its serial result
+        monkeypatch.setattr(snn, "SPLIT_WORK", 1 << 21)
+        net = CubaNetwork((7, 256, 64, 3), dropout_p=0.0, seed=5)
+        rng = np.random.default_rng(8)
+        blocks = [(rng.uniform(size=(16, 7, 100)) < 0.3) * 1.0 for _ in range(4)]
+        labels = np.zeros(16, dtype=np.int64)
+        with whole(monkeypatch):
+            expected = [_loss_and_grads(net, x, labels, soft=False) for x in blocks]
+        results = [None] * len(blocks)
+
+        def caller(i):
+            results[i] = [_loss_and_grads(net, blocks[i], labels, soft=False)
+                          for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(halves) >= 4 * 3
+        for runs, (loss, grads) in zip(results, expected):
+            for loss_i, grads_i in runs:
+                assert loss_i == loss
+                for g, g_w in zip(grads_i, grads):
+                    np.testing.assert_array_equal(g, g_w)
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(snn, "_helper", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(snn, "SPLIT_WORK", 1)
+        before = threading.enumerate()
+        ran = []
+        snn._in_halves(lambda lo, hi: ran.append((lo, hi)), 64, 1)
+        net = CubaNetwork((7, 256, 64, 3), dropout_p=0.0, seed=1)
+        x = (np.random.default_rng(4).uniform(size=(16, 7, 400)) < 0.3) * 1.0
+        _loss_and_grads(net, x, np.zeros(16, dtype=np.int64), soft=False)
+        assert ran == [(0, 64)]
+        assert snn._helper == (os.getpid(), None)
+        assert set(threading.enumerate()) <= set(before)

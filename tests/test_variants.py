@@ -71,6 +71,7 @@ def test_variant_output_is_pinned(name, window):
     config = variant_config(name, steps_per_sample=20, seed=5)
     tensor = encode(window, config, Rng(9))
     assert tensor.shape == shape
+    assert VARIANTS[name].shape(config, *window.data.shape) == (shape[0], shape[2])
     assert hashlib.sha256(tensor.data.tobytes()).hexdigest() == digest
     assert noise_mode_for(config.scheme).value == mode
     assert snr_db(window, reconstruct(tensor, config, window)) == pytest.approx(
@@ -120,3 +121,16 @@ def test_snr_of_an_encoded_set_equals_encoding_it_afresh():
     encoded = encode_dataset(ds, config)
     assert (reconstruction_snr_db(ds, config, encoded=encoded)
             == reconstruction_snr_db(ds, config))
+
+
+def test_encoded_size_cap_counts_spike_bytes(monkeypatch):
+    from spikecodec import evaluation
+
+    ds = synth_dataset(2, 2, seed=3, seconds=1.0)  # 4 windows of 20 samples
+    # 4 windows x 5 trains x 7 channels x 19 * 3 steps
+    monkeypatch.setattr(evaluation, "ENCODED_MAX_BYTES", 4 * 5 * 7 * 57)
+    assert len(encode_dataset(ds, variant_config("delta-mod", interp_factor=3))) == 4
+    # one window more, or one more step per sample interval
+    for more, interp in ((ds.subset([0, 1, 2, 3, 0]), 3), (ds, 4)):
+        with pytest.raises(ConfigError, match="spike bytes, over the 7,980-byte cap"):
+            encode_dataset(more, variant_config("delta-mod", interp_factor=interp))
