@@ -19,7 +19,6 @@ from .core import (
     validate_signal,
 )
 from .encoders import (
-    RateMapping,
     encode,
     encode_binary,
     encode_delta,

@@ -43,7 +43,7 @@ from .evaluation import (
     DEFAULT_P_LIST,
     VARIANT_NAMES,
     VARIANTS,
-    check_encoded_size,
+    check_training_size,
     encode_dataset,
     evaluate_scheme,
     fit_variant,
@@ -233,8 +233,7 @@ def cmd_evaluate(args) -> int:
     train_ds, test_ds, train_cfg = _training_inputs(args)
     configs = [_config_from_args(args, name) for name in names]
     for config in configs:  # before the first row trains
-        for split in (train_ds, test_ds):
-            check_encoded_size(split, config)
+        check_training_size(config, train_ds, test_ds, train_cfg.batch_size)
     rows = []
     for name, config in zip(names, configs):
         row = evaluate_scheme(name, config, train_ds, test_ds, train_cfg,

@@ -39,6 +39,11 @@ NORMAL_MU, NORMAL_VAR, BETA_SHAPE = 0.5, 0.2, 0.75
 _RATE_CURVES = {"normal_mu": NORMAL_MU, "normal_var": NORMAL_VAR,
                 "beta_shape": BETA_SHAPE}
 
+# The most bytes a planned block may take (a synthetic set's float64
+# samples, an encoded set's spikes, a training run's float64 blocks); a
+# larger plan is refused before it is allocated.  Read at call time.
+MAX_BLOCK_BYTES = 2 ** 30
+
 
 class Scheme(enum.Enum):
     """The seven encoding variants supported by the package."""

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import EncodingConfig, Rng, Signal, SpikeTensor, frozen_array
 from .errors import (
     BadMagicError,
@@ -49,10 +50,6 @@ SYNTH_OFFSET_SPREAD = 0.07
 SYNTH_AMP_LOW = 0.06
 SYNTH_AMP_HIGH = 0.12
 SYNTH_NOISE_STD = 0.02
-# The largest synthetic set synth_dataset builds, in bytes of float64
-# samples (1 GiB): a larger request is refused before anything is
-# allocated, where numpy would fail with a bare ValueError or MemoryError.
-SYNTH_MAX_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -306,7 +303,8 @@ def synth_dataset(n_classes: int, samples_per_class: int, seed: int = 0,
     Individual samples add small amplitude jitter and Gaussian noise, then
     clip to [0, 1], so values stay concentrated near the 0.5 midpoint.
     Users are round-robin cohorts so every leave-one-user-out fold sees all
-    classes.  A set of more than SYNTH_MAX_BYTES is a ConfigError.
+    classes.  A set of more than core.MAX_BLOCK_BYTES of float64 samples is
+    a ConfigError, raised before anything is allocated.
     """
     if n_classes < 1 or samples_per_class < 1:
         raise ConfigError("need at least one class and one sample per class")
@@ -314,10 +312,10 @@ def synth_dataset(n_classes: int, samples_per_class: int, seed: int = 0,
         raise ConfigError(f"need at least one user, got {n_users}")
     width = _samples(sample_rate_hz, seconds, "window")
     size = int(n_classes) * int(samples_per_class) * SYNTH_CHANNELS * width * 8
-    if size > SYNTH_MAX_BYTES:
+    if size > core.MAX_BLOCK_BYTES:
         raise ConfigError(
             f"a synthetic set of {n_classes} x {samples_per_class} windows of "
-            f"{width:.6g} samples is over the {SYNTH_MAX_BYTES >> 30} GiB cap")
+            f"{width:.6g} samples is over the {core.MAX_BLOCK_BYTES / 2 ** 30:g} GiB cap")
     rng = Rng(seed)
     t = np.arange(width) / sample_rate_hz
 

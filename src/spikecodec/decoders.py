@@ -20,7 +20,7 @@ from .core import (
     SpikeTensor,
     resolve_threshold_banks,
 )
-from .encoders import RateMapping, _check_unit_interval
+from .encoders import _check_rate_scheme, _check_unit_interval
 from .errors import (
     ConfigError,
     DomainError,
@@ -34,17 +34,18 @@ from .errors import (
 _PPF_CLAMP = 1e-6
 
 
-def rate_ppf(p, mapping: RateMapping):
+def rate_ppf(p, scheme: Scheme):
     """Invert map_value_to_rate: firing probability back to a signal value.
 
     Accepts scalars or arrays; scalar input yields a float.  The Gaussian
     branch clamps its argument to [1e-6, 1 - 1e-6] and its output to [0, 1].
     """
+    _check_rate_scheme(scheme)
     arr = np.asarray(p, dtype=np.float64)
     _check_unit_interval(arr, "probability")
-    if mapping.kind is Scheme.RATE_UNIFORM:
+    if scheme is Scheme.RATE_UNIFORM:
         out = arr.copy()
-    elif mapping.kind is Scheme.RATE_NORMAL:
+    elif scheme is Scheme.RATE_NORMAL:
         from scipy.special import ndtri
 
         clamped = np.clip(arr, _PPF_CLAMP, 1.0 - _PPF_CLAMP)
@@ -76,13 +77,13 @@ def _window_view(data: np.ndarray, steps_per_sample: int) -> np.ndarray:
     return data.reshape(channels, timesteps // steps_per_sample, steps_per_sample)
 
 
-def decode_rate(tensor: SpikeTensor, mapping: RateMapping,
+def decode_rate(tensor: SpikeTensor, scheme: Scheme,
                 steps_per_sample: int = 50) -> Signal:
-    """Empirical rate per sample window, pushed through the mapping's PPF."""
+    """Empirical rate per sample window, pushed through the scheme's PPF."""
     data = _single_train(tensor, "rate")
     windows = _window_view(data, steps_per_sample)
     rates = windows.sum(axis=2, dtype=np.float64) / steps_per_sample
-    values = rate_ppf(np.clip(rates, 0.0, 1.0), mapping)
+    values = rate_ppf(np.clip(rates, 0.0, 1.0), scheme)
     rate_hz = 1000.0 / (tensor.time_step_ms * steps_per_sample)
     return Signal(values, sample_rate_hz=rate_hz)
 

@@ -8,8 +8,6 @@ given seed always reproduces the same tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -27,22 +25,9 @@ from .core import (
 from .errors import ConfigError, DomainError
 
 
-@dataclass(frozen=True)
-class RateMapping:
-    """A monotone map from normalized signal values to firing probabilities.
-
-    kind is the rate scheme.  RATE_UNIFORM is the identity.  RATE_NORMAL uses
-    the Gaussian CDF centred at NORMAL_MU with variance NORMAL_VAR.
-    RATE_BETA glues two beta CDFs of shape parameter BETA_SHAPE, one per
-    half of [0, 1], each rescaled to its half so the combined curve is a
-    single monotone CDF with a steep slope around 0.5.
-    """
-
-    kind: Scheme
-
-    def __post_init__(self):
-        if self.kind not in (Scheme.RATE_UNIFORM, Scheme.RATE_NORMAL, Scheme.RATE_BETA):
-            raise ConfigError(f"{self.kind} is not a rate scheme")
+def _check_rate_scheme(scheme: Scheme):
+    if scheme not in (Scheme.RATE_UNIFORM, Scheme.RATE_NORMAL, Scheme.RATE_BETA):
+        raise ConfigError(f"{scheme} is not a rate scheme")
 
 
 def _check_unit_interval(values: np.ndarray, what: str):
@@ -53,16 +38,22 @@ def _check_unit_interval(values: np.ndarray, what: str):
         raise DomainError(f"{what} must lie in [0, 1], got {bad}")
 
 
-def map_value_to_rate(v, mapping: RateMapping):
-    """Map signal values in [0, 1] to firing probabilities in [0, 1].
+def map_value_to_rate(v, scheme: Scheme):
+    """Map signal values in [0, 1] to firing probabilities in [0, 1] by a
+    monotone curve per rate scheme.
 
-    Accepts scalars or arrays; scalar input yields a float.
+    RATE_UNIFORM is the identity.  RATE_NORMAL uses the Gaussian CDF centred
+    at NORMAL_MU with variance NORMAL_VAR.  RATE_BETA glues two beta CDFs of
+    shape parameter BETA_SHAPE, one per half of [0, 1], each rescaled to its
+    half so the combined curve is a single monotone CDF with a steep slope
+    around 0.5.  Accepts scalars or arrays; scalar input yields a float.
     """
+    _check_rate_scheme(scheme)
     arr = np.asarray(v, dtype=np.float64)
     _check_unit_interval(arr, "signal value")
-    if mapping.kind is Scheme.RATE_UNIFORM:
+    if scheme is Scheme.RATE_UNIFORM:
         out = arr.copy()
-    elif mapping.kind is Scheme.RATE_NORMAL:
+    elif scheme is Scheme.RATE_NORMAL:
         from scipy.special import ndtr
 
         out = ndtr((arr - NORMAL_MU) / np.sqrt(NORMAL_VAR))
@@ -75,7 +66,7 @@ def map_value_to_rate(v, mapping: RateMapping):
     return out
 
 
-def encode_rate(signal: Signal, mapping: RateMapping, steps_per_sample: int = 50,
+def encode_rate(signal: Signal, scheme: Scheme, steps_per_sample: int = 50,
                 rng: Rng = None) -> SpikeTensor:
     """Bernoulli rate encoding: each sample expands to steps_per_sample
     independent trials with success probability map_value_to_rate(value)."""
@@ -85,7 +76,7 @@ def encode_rate(signal: Signal, mapping: RateMapping, steps_per_sample: int = 50
     if rng is None:
         rng = Rng(0)
     n = int(steps_per_sample)
-    rates = map_value_to_rate(signal.data, mapping)
+    rates = map_value_to_rate(signal.data, scheme)
     channels, samples = rates.shape
     draws = rng.uniform(size=(channels, samples * n))
     fired = draws.reshape(channels, samples, n) < rates[:, :, np.newaxis]

@@ -15,32 +15,21 @@ from typing import Callable
 
 import numpy as np
 
+from . import core
 from .core import EncodingConfig, Rng, Scheme, derive_seed, resolve_threshold_banks
 from .dataio import WindowedDataset, downsample
 from .decoders import decode, decode_binary, decode_delta, decode_rate, decode_ttfs
-from .encoders import (
-    RateMapping,
-    encode,
-    encode_binary,
-    encode_delta,
-    encode_rate,
-    encode_ttfs,
-)
+from .encoders import encode, encode_binary, encode_delta, encode_rate, encode_ttfs
 from .errors import ConfigError, EmptyDatasetError
 # afr is no longer called here but stays bound: bench/run.py times it at
 # this binding too
 from .metrics import afr  # noqa: F401
 from .metrics import NoiseMode, robustness_sweep, snr_db
-from .snn import CubaNetwork, TrainConfig, train
+from .snn import CubaNetwork, TrainConfig, step_width, train
 
 DEFAULT_P_LIST = (0.001, 0.01, 0.1)
 # Hidden layer widths of the classifier fit_variant builds.
 HIDDEN = (256, 64)
-# The most spike bytes one encode_dataset call may make.  --interp 100000
-# on delta-mod plans 8.2 GB for the default synthetic set, which ended in a
-# MemoryError; the largest set the README, the CI walk-through and the
-# benchmark encode is 0.84 MB.
-ENCODED_MAX_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -69,8 +58,8 @@ class Variant:
 # One (encode, decode, params, shape) tuple per family: the codec reads
 # from the config exactly the fields params names; v0 is the initial value
 # that delta modulation integrates from.
-_RATE = (lambda s, c, rng: encode_rate(s, RateMapping(c.scheme), c.steps_per_sample, rng),
-         lambda t, c, v0: decode_rate(t, RateMapping(c.scheme), c.steps_per_sample),
+_RATE = (lambda s, c, rng: encode_rate(s, c.scheme, c.steps_per_sample, rng),
+         lambda t, c, v0: decode_rate(t, c.scheme, c.steps_per_sample),
          ("steps_per_sample", "seed"),
          lambda c, channels, samples: (1, samples * c.steps_per_sample))
 _TTFS = (lambda s, c, rng: encode_ttfs(s, c.scheme, c.steps_per_sample),
@@ -105,13 +94,11 @@ VARIANTS = MappingProxyType({
 # "binary", which repeats binary6 or binary10 at the caller's bit depth.
 VARIANT_NAMES = tuple(VARIANTS)[:-1]
 
-# The binary entries share their codec, so any of them serves the scheme.
-_BY_SCHEME = {v.scheme: v for v in VARIANTS.values()}
-
 
 def codec(scheme: Scheme) -> Variant:
-    """The table entry that encodes, decodes and perturbs a scheme."""
-    return _BY_SCHEME[scheme]
+    """The table entry that encodes, decodes and perturbs a scheme: the one
+    its value names (binary6 and binary10 share plain "binary"'s codec)."""
+    return VARIANTS[scheme.value]
 
 
 def variant_config(name: str, steps_per_sample: int = 50, n_bits: int = 6,
@@ -127,20 +114,42 @@ def variant_config(name: str, steps_per_sample: int = 50, n_bits: int = 6,
     return EncodingConfig(v.scheme, **{k: given[k] for k in v.params})
 
 
-def check_encoded_size(dataset: WindowedDataset, config: EncodingConfig):
-    """ConfigError when encoding every window of dataset under config would
-    make more than ENCODED_MAX_BYTES of spikes (windows x trains x channels
-    x timesteps int8 values, counted in Python ints from the window sizes),
-    before anything is encoded."""
+def _window_shapes(dataset: WindowedDataset, config: EncodingConfig):
+    """(trains x channels, timesteps) of each window encoded under config."""
     shape = codec(config.scheme).shape
-    size = 0
     for sig, _ in dataset:
         trains, steps = shape(config, sig.n_channels, sig.n_samples)
-        size += trains * sig.n_channels * steps
-    if size > ENCODED_MAX_BYTES:
+        yield trains * sig.n_channels, steps
+
+
+def check_encoded_size(dataset: WindowedDataset, config: EncodingConfig):
+    """ConfigError when encoding every window of dataset under config would
+    make more than core.MAX_BLOCK_BYTES of spikes (windows x trains x
+    channels x timesteps int8 values, counted in Python ints from the window
+    sizes), before anything is encoded."""
+    size = sum(f * t for f, t in _window_shapes(dataset, config))
+    if size > core.MAX_BLOCK_BYTES:
         raise ConfigError(f"encoding {len(dataset)} windows as {config.scheme.value} "
                           f"makes {size:,} spike bytes, over the "
-                          f"{ENCODED_MAX_BYTES:,}-byte cap")
+                          f"{core.MAX_BLOCK_BYTES:,}-byte cap")
+
+
+def check_training_size(config: EncodingConfig, train_ds: WindowedDataset,
+                        test_ds: WindowedDataset, batch_size: int):
+    """ConfigError, before anything is encoded, when fit_variant on both
+    splits under config would hold over core.MAX_BLOCK_BYTES of float64:
+    the stacked inputs, 8 bytes per spike position (snn._stack_batch holds
+    them twice while it stacks), plus one step's workspace, 8 x timesteps x
+    min(batch_size, windows of a split) x snn.step_width."""
+    shapes = [s for ds in (train_ds, test_ds) for s in _window_shapes(ds, config)]
+    features, steps = shapes[0]
+    batch = min(batch_size, max(len(train_ds), len(test_ds)))
+    width = step_width((features, *HIDDEN, train_ds.n_classes))
+    size = 8 * (sum(f * t for f, t in shapes) + steps * batch * width)
+    if size > core.MAX_BLOCK_BYTES:
+        raise ConfigError(f"training on {len(shapes)} windows encoded as "
+                          f"{config.scheme.value} holds {size:,} bytes of float64 "
+                          f"blocks, over the {core.MAX_BLOCK_BYTES:,}-byte cap")
 
 
 def encode_dataset(dataset: WindowedDataset, config: EncodingConfig,
@@ -234,11 +243,13 @@ def fit_variant(config: EncodingConfig, train_ds: WindowedDataset,
     The splits are encoded with the child seeds 1 (train) and 2 (test) of
     config.seed; the network is (features, *HIDDEN, classes), its features
     read off the first training tensor, with weights drawn from net_seed
-    and the default dropout of CubaNetwork.
+    and the default dropout of CubaNetwork.  A plan over the size cap is
+    refused first (check_training_size).
     Returns (encoded_train, encoded_test, TrainResult).
     """
     if len(train_ds) == 0:
         raise EmptyDatasetError("no training windows to fit on")
+    check_training_size(config, train_ds, test_ds, train_cfg.batch_size)
     encoded_train = encode_dataset(train_ds, config, derive_seed(config.seed, 1))
     encoded_test = encode_dataset(test_ds, config, derive_seed(config.seed, 2))
     sample = encoded_train[0][0]

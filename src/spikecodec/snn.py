@@ -5,8 +5,8 @@ low-pass filters incoming spikes and a membrane potential driven by that
 current.  A neuron fires when the potential reaches the threshold and is
 hard-reset to zero.  Training backpropagates through time, replacing the
 threshold derivative with a fast-sigmoid surrogate; a fully differentiable
-soft mode (sigmoid spikes) exists so the whole backward pass can be checked
-against finite differences.
+soft mode (sigmoid spikes), which training never uses, lets gradient_check
+compare the whole backward pass against finite differences.
 
 The matmuls of a layer run once over the whole (T * B) block; only the
 element-wise time recurrence steps through time.  That recurrence runs in a
@@ -22,8 +22,8 @@ mask, straight into the block that becomes the next layer's input, and the
 backward pass re-derives the spikes from v (v >= threshold, or the soft
 sigmoid).  The current gradients of a layer overwrite its spike gradients
 in place, so the backward pass needs two gradient blocks in all.  At
-widths 7-256-64-3 a training step holds 973 * T * B float64s (49.8 MB at
-T = 400, B = 16).
+widths 7-256-64-3 a training step holds step_width = 973 float64s per step
+and sample (49.8 MB at T = 400, B = 16).
 
 A large op of a hidden layer runs in two fixed halves, the first on the
 calling thread and the second on one helper thread; numpy's matmul and the
@@ -244,7 +244,6 @@ class TrainConfig:
     epochs: int = 100
     learning_rate: float = 1e-3
     batch_size: int = 32
-    soft_mode: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -311,17 +310,8 @@ class CubaNetwork:
         return self.layer_sizes[-1]
 
 
-def _surrogate_grad(v: np.ndarray, params: CubaParams) -> np.ndarray:
-    """Fast-sigmoid surrogate for the threshold derivative."""
-    return 1.0 / np.square(1.0 + SURROGATE_SLOPE * np.abs(v - params.threshold))
-
-
 def _soft_spike(v: np.ndarray, params: CubaParams) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-SURROGATE_SLOPE * (v - params.threshold)))
-
-
-def _soft_spike_grad(s: np.ndarray) -> np.ndarray:
-    return SURROGATE_SLOPE * s * (1.0 - s)
 
 
 @dataclass(frozen=True)
@@ -365,6 +355,14 @@ class _Workspace:
         if flat is None or flat.size < size:
             flat = self._flat[name] = np.empty(size)
         return flat[:size].reshape(shape)
+
+
+def step_width(layer_sizes) -> int:
+    """Float64s per step and sample of a training step's workspace: every
+    layer's "x" and "v" blocks and the two gradient blocks, each as wide as
+    the widest layer of its parity (_loss_and_grads)."""
+    s = tuple(layer_sizes)
+    return sum(s) + sum(s[1:]) + max(s[1::2], default=0) + max(s[2::2], default=0)
 
 
 def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
@@ -487,7 +485,7 @@ def _targets(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
-                    soft: bool, dropout_masks=None, work: _Workspace = None):
+                    soft: bool = False, dropout_masks=None, work: _Workspace = None):
     """Forward plus backpropagation through time over a (B, F, T) block.
 
     Returns (loss, [dW per layer]); the loss is the mean squared error of
@@ -572,10 +570,11 @@ def _lif_backward(v_seq, g, mask, p: CubaParams, soft: bool, split: bool = True)
         v = v_seq[t]
         if soft:
             s = _soft_spike(v, p)
-            sd = _soft_spike_grad(s)
+            sd = SURROGATE_SLOPE * s * (1.0 - s)
         else:
             s = (v >= p.threshold).astype(np.float64)
-            sd = _surrogate_grad(v, p)
+            # fast-sigmoid surrogate for the threshold derivative
+            sd = 1.0 / np.square(1.0 + SURROGATE_SLOPE * np.abs(v - p.threshold))
         g_s = g[t] if mask is None else g[t] * mask
         g_v = sd * (g_s - v * cvp) + (1.0 - s) * cvp
         g[t] = g_v + au * cu
@@ -685,8 +684,8 @@ def train(net: CubaNetwork, dataset, cfg: TrainConfig,
                     .astype(np.float64) / keep
                     for i in range(net.n_layers - 1)
                 ]
-            loss, grads = _loss_and_grads(net, xb, yb, cfg.soft_mode,
-                                          dropout_masks=masks, work=work)
+            loss, grads = _loss_and_grads(net, xb, yb, dropout_masks=masks,
+                                          work=work)
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite at epoch {epoch}")
             adam.step(net.weights, grads)
@@ -714,27 +713,18 @@ def train(net: CubaNetwork, dataset, cfg: TrainConfig,
 
 @dataclass(frozen=True)
 class GradCheckResult:
-    status: str
     max_rel_error: float
     n_checked: int
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "checked"
 
-
-def gradient_check(net: CubaNetwork, sample, cfg: TrainConfig,
+def gradient_check(net: CubaNetwork, sample, seed: int = 0,
                    n_weights: int = 120) -> GradCheckResult:
     """Compare analytic gradients against central finite differences of
-    step 1e-5 at n_weights randomly picked weights.
+    step 1e-5 at n_weights weights picked from a seed's stream.
 
-    Only meaningful in soft mode, where the simulation is differentiable;
-    in hard mode the check is skipped with a non-differentiable status.
-    Dropout is disabled for the comparison.
+    Runs in soft mode, where the simulation is differentiable.  Dropout is
+    disabled for the comparison.
     """
-    if not cfg.soft_mode:
-        return GradCheckResult(status="skipped: non-differentiable hard threshold",
-                               max_rel_error=float("nan"), n_checked=0)
     tensor, label = sample
     x = _stack_batch([tensor])
     labels = np.asarray([label], dtype=np.int64)
@@ -744,7 +734,7 @@ def gradient_check(net: CubaNetwork, sample, cfg: TrainConfig,
         return float(np.mean(np.square(rates - _targets(labels, net.n_classes))))
 
     _, grads = _loss_and_grads(net, x, labels, soft=True)
-    rng = Rng(cfg.seed)
+    rng = Rng(seed)
     sizes = np.array([w.size for w in net.weights])
     total = int(sizes.sum())
     picks = np.sort(rng.integers(0, total, size=min(n_weights, total)))
@@ -768,8 +758,7 @@ def gradient_check(net: CubaNetwork, sample, cfg: TrainConfig,
         # bottom out in float64 cancellation noise
         denom = max(abs(numeric), abs(analytic), 1e-5)
         max_rel = max(max_rel, abs(numeric - analytic) / denom)
-    return GradCheckResult(status="checked", max_rel_error=max_rel,
-                           n_checked=len(picks))
+    return GradCheckResult(max_rel_error=max_rel, n_checked=len(picks))
 
 
 def dataset_fingerprint(dataset) -> str:
@@ -819,8 +808,8 @@ def save_checkpoint(net: CubaNetwork, path, train_config: TrainConfig = None,
     if train_config is not None:
         # with the constants, so the sidecar records every value training used
         sidecar["train_config"] = {
-            **asdict(train_config), "beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
-            "eps": ADAM_EPS, "surrogate_slope": SURROGATE_SLOPE}
+            **asdict(train_config), "soft_mode": False, "beta1": ADAM_BETA1,
+            "beta2": ADAM_BETA2, "eps": ADAM_EPS, "surrogate_slope": SURROGATE_SLOPE}
     if sidecar_extra:
         sidecar.update(sidecar_extra)
     write_json(path + ".json", sidecar)

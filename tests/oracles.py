@@ -129,9 +129,9 @@ def inject_noise_data(data, spec):
     return np.where(change, changed, data).astype(np.int8)
 
 
-def encode_rate_data(signal, mapping, steps_per_sample, rng):
+def encode_rate_data(signal, scheme, steps_per_sample, rng):
     """Rate encoding against probabilities repeated with np.repeat."""
-    rates = map_value_to_rate(signal.data, mapping)
+    rates = map_value_to_rate(signal.data, scheme)
     prob = np.repeat(rates, steps_per_sample, axis=1)
     draws = rng.uniform(size=prob.shape)
     return (draws < prob).astype(np.int8)[np.newaxis, :, :]

@@ -216,13 +216,13 @@ class TestArgumentErrors:
         ["train", *SYNTH_SMALL, *ONE_SAMPLE, "--scheme", "delta-mod", "--epochs", "1"],
         [*EVALUATE, *ONE_SAMPLE, "--schemes", "delta-mod"],
         ["encode", *SYNTH_SMALL, "--scheme", "delta-mod", "--thresholds", "0.3,0.1"],
-        # synthetic sets over dataio.SYNTH_MAX_BYTES, refused before numpy
+        # synthetic sets over core.MAX_BLOCK_BYTES, refused before numpy
         # allocates them
         [*OVERSIZED, "--classes", "99999999999999999999", "--samples-per-class", "2"],
         [*OVERSIZED, "--duration", "1e300", "--sample-rate", "1"],
         [*OVERSIZED, "--duration", "1e6"],
-        # encoded sets over evaluation.ENCODED_MAX_BYTES, refused before the
-        # first window is encoded (evaluate: before the first row trains)
+        # encoded sets over core.MAX_BLOCK_BYTES, refused before the first
+        # window is encoded (evaluate: before the first row trains)
         ["encode", "synth", "--scheme", "delta-mod", "--interp", "100000"],
         [*EVALUATE, "--schemes", "rate-uniform,delta-mod", "--interp", "10000000"],
     ], ids=["no-users", "negative-rate", "zero-duration", "nan-duration",
@@ -239,6 +239,27 @@ class TestArgumentErrors:
         assert run([*args, "--out", out]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists()
+
+    def test_training_blocks_over_the_cap_are_refused_before_the_first_row(
+            self, tmp_path, capsys, monkeypatch):
+        # 819 MB of spikes, under the cap, but 6.5 GB of float64 inputs and
+        # 140 GB of workspace for one step
+        def evaluate_nothing(*args, **kwargs):
+            raise AssertionError("a refused plan reached evaluate_scheme")
+
+        monkeypatch.setattr(cli, "evaluate_scheme", evaluate_nothing)
+        out = tmp_path / "out"
+        code = run(["evaluate", "synth", "--classes", "3", "--samples-per-class", "4",
+                    "--epochs", "1", "--schemes", "delta-mod", "--interp", "50000",
+                    "--out", out])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: training on 12 windows encoded as "
+                                       "delta-mod holds ")
+        assert captured.err.endswith(" bytes of float64 blocks, over the "
+                                     "1,073,741,824-byte cap\n")
+        assert captured.err.count("\n") == 1 and captured.out == ""
         assert not out.exists()
 
     def test_evaluate_naming_a_variant_twice_is_refused_before_loading(self, tmp_path,

@@ -254,10 +254,10 @@ class TestSynthDataset:
             assert set(test.labels.tolist()) == {0, 1, 2}
 
     def test_size_cap_counts_float64_samples(self, monkeypatch):
-        from spikecodec import dataio
+        from spikecodec import core
 
         # 2 x 3 windows of 7 channels x 40 samples: 13,440 bytes
-        monkeypatch.setattr(dataio, "SYNTH_MAX_BYTES", 2 * 3 * 7 * 40 * 8)
+        monkeypatch.setattr(core, "MAX_BLOCK_BYTES", 2 * 3 * 7 * 40 * 8)
         assert len(synth_dataset(2, 3, seed=0)) == 6
         for args in ((2, 4), (3, 3)):
             with pytest.raises(ConfigError, match="GiB cap"):

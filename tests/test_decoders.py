@@ -6,7 +6,6 @@ import pytest
 
 import oracles
 from spikecodec import (
-    RateMapping,
     Scheme,
     Signal,
     SpikeTensor,
@@ -27,9 +26,7 @@ from spikecodec.errors import (
     ShapeError,
 )
 
-UNIFORM = RateMapping(Scheme.RATE_UNIFORM)
-NORMAL = RateMapping(Scheme.RATE_NORMAL)
-BETA = RateMapping(Scheme.RATE_BETA)
+UNIFORM, NORMAL, BETA = Scheme.RATE_UNIFORM, Scheme.RATE_NORMAL, Scheme.RATE_BETA
 
 
 def rate_tensor(window_spikes, steps=50):

@@ -6,7 +6,6 @@ import pytest
 
 import oracles
 from spikecodec import (
-    RateMapping,
     Rng,
     Scheme,
     Signal,
@@ -22,9 +21,7 @@ from spikecodec.core import BETA_SHAPE, EncodingConfig, IMU_THRESHOLDS
 from spikecodec.decoders import decode_binary
 from spikecodec.errors import ConfigError, DomainError, ThresholdOrderError
 
-UNIFORM = RateMapping(Scheme.RATE_UNIFORM)
-NORMAL = RateMapping(Scheme.RATE_NORMAL)
-BETA = RateMapping(Scheme.RATE_BETA)
+UNIFORM, NORMAL, BETA = Scheme.RATE_UNIFORM, Scheme.RATE_NORMAL, Scheme.RATE_BETA
 
 
 def single_value_signal(v, rate=20.0):

@@ -12,7 +12,6 @@ import oracles
 from spikecodec import (
     NoiseMode,
     NoiseSpec,
-    RateMapping,
     Rng,
     Scheme,
     Signal,
@@ -138,9 +137,8 @@ def test_encode_rate_equals_repeated_probabilities(seed, channels, samples, step
                                                    kind):
     values = np.random.default_rng(seed).random((channels, samples))
     signal = Signal(values, sample_rate_hz=20.0)
-    mapping = RateMapping(kind)
-    tensor = encode_rate(signal, mapping, steps, Rng(seed))
-    expected = oracles.encode_rate_data(signal, mapping, steps, Rng(seed))
+    tensor = encode_rate(signal, kind, steps, Rng(seed))
+    expected = oracles.encode_rate_data(signal, kind, steps, Rng(seed))
     assert tensor.data.tobytes() == expected.tobytes()
     assert tensor.shape == expected.shape
 

@@ -406,9 +406,7 @@ class TestGradientCheck:
     def test_soft_mode_matches_finite_differences(self):
         data = small_task()
         net = CubaNetwork((7, 16, 8, 3), dropout_p=0.0, seed=7)
-        cfg = TrainConfig(soft_mode=True, seed=11)
-        result = gradient_check(net, data[0], cfg)
-        assert result.ok
+        result = gradient_check(net, data[0], seed=11)
         assert result.n_checked >= 100
         assert result.max_rel_error <= 1e-4
 
@@ -419,14 +417,6 @@ class TestGradientCheck:
         x = np.zeros((1, 7, 100))
         _, grads = _loss_and_grads(net, x, np.array([0]), soft=False)
         assert all((g == 0).all() for g in grads)
-
-    def test_hard_mode_is_skipped(self):
-        data = small_task()
-        net = CubaNetwork((7, 8, 3), dropout_p=0.0, seed=3)
-        result = gradient_check(net, data[0], TrainConfig(soft_mode=False))
-        assert not result.ok
-        assert "non-differentiable" in result.status
-        assert result.n_checked == 0
 
 
 class TestCheckpoint:
@@ -444,6 +434,19 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a, b.astype(np.float32).astype(np.float64))
         assert sidecar["train_config"]["seed"] == 9
         assert sidecar["note"] == "x"
+
+    def test_sidecar_records_every_training_value(self, tmp_path):
+        path = tmp_path / "model.cuba"
+        save_checkpoint(CubaNetwork((2, 3), dropout_p=0.0, seed=1), path,
+                        train_config=TrainConfig(epochs=3, learning_rate=2e-3,
+                                                 batch_size=8, seed=4))
+        _, sidecar = load_checkpoint(path)
+        # the settings, then the constants training always uses
+        assert sidecar["train_config"] == {
+            "epochs": 3, "learning_rate": 2e-3, "batch_size": 8, "seed": 4,
+            "soft_mode": False, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+            "surrogate_slope": 10.0}
+        assert sidecar["train_config"]["soft_mode"] is False
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.cuba"
@@ -610,6 +613,18 @@ class TestWorkspace:
         _loss_and_grads(net, x, rng.integers(0, 3, size=batch), soft=False,
                         dropout_masks=masks, work=work)
         assert sum(flat.size for flat in work._flat.values()) == 973 * t_len * batch
+        assert snn.step_width(net.layer_sizes) == 973
+
+    @pytest.mark.parametrize("sizes", ((4, 6), (3, 8, 2), (5, 3, 9, 2), (2, 9, 3, 7, 4)))
+    def test_step_width_is_the_workspace_of_one_step(self, sizes):
+        t_len, batch = 5, 3
+        net = CubaNetwork(sizes, dropout_p=0.0, seed=3)
+        rng = np.random.default_rng(7)
+        x = (rng.uniform(size=(batch, sizes[0], t_len)) < 0.5).astype(np.float64)
+        work = snn._Workspace()
+        _loss_and_grads(net, x, rng.integers(0, sizes[-1], size=batch), work=work)
+        assert (sum(flat.size for flat in work._flat.values())
+                == snn.step_width(sizes) * t_len * batch)
 
     def test_smaller_request_reuses_the_buffer_prefix(self):
         work = snn._Workspace()

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 import spikecodec, spikecodec.cli, spikecodec.evaluation
-from spikecodec import (CubaNetwork, RateMapping, Scheme, classify_detailed,
+from spikecodec import (CubaNetwork, Scheme, classify_detailed,
                         decode, encode, map_value_to_rate, synth_dataset)
 from spikecodec.core import NORMAL_MU, NORMAL_VAR
 from spikecodec.decoders import rate_ppf
@@ -36,12 +36,11 @@ decode(encode(signal, config), config)
 assert "scipy.special" in sys.modules
 from scipy.special import ndtr, ndtri
 
-mapping = RateMapping(Scheme.RATE_NORMAL)
-p = map_value_to_rate(signal.data, mapping)
+p = map_value_to_rate(signal.data, Scheme.RATE_NORMAL)
 assert np.array_equal(p, ndtr((signal.data - NORMAL_MU) / np.sqrt(NORMAL_VAR)))
 ppf = np.clip(NORMAL_MU + np.sqrt(NORMAL_VAR) * ndtri(np.clip(p, 1e-6, 1 - 1e-6)),
               0.0, 1.0)
-assert np.array_equal(rate_ppf(p, mapping), ppf)
+assert np.array_equal(rate_ppf(p, Scheme.RATE_NORMAL), ppf)
 print("ok")
 """
 

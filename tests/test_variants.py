@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 
 from spikecodec import (
-    RateMapping,
     Rng,
     Scheme,
     Signal,
     SpikeTensor,
+    TrainConfig,
+    decode_rate,
     decode_ttfs,
     encode,
+    encode_rate,
     encode_ttfs,
+    map_value_to_rate,
     noise_mode_for,
+    rate_ppf,
     snr_db,
     synth_dataset,
 )
@@ -26,6 +30,7 @@ from spikecodec.evaluation import (
     VARIANTS,
     codec,
     encode_dataset,
+    fit_variant,
     reconstruct,
     reconstruction_snr_db,
     variant_config,
@@ -106,13 +111,19 @@ def test_unknown_variant_lists_the_table():
 
 
 def test_family_functions_reject_other_schemes():
+    signal = Signal([[0.5]], 20.0)
+    tensor = SpikeTensor(np.zeros((1, 1, 10), dtype=np.int8), 1.0, 10)
+    for other in (Scheme.TTFS_LOG, Scheme.BINARY):
+        for call in (lambda: map_value_to_rate(0.5, other),
+                     lambda: rate_ppf(0.5, other),
+                     lambda: encode_rate(signal, other, 10, Rng(0)),
+                     lambda: decode_rate(tensor, other, 10)):
+            with pytest.raises(ConfigError, match="is not a rate scheme"):
+                call()
     with pytest.raises(ConfigError):
-        RateMapping(Scheme.TTFS_LOG)
+        encode_ttfs(signal, Scheme.RATE_BETA, 10)
     with pytest.raises(ConfigError):
-        encode_ttfs(Signal([[0.5]], 20.0), Scheme.RATE_BETA, 10)
-    with pytest.raises(ConfigError):
-        decode_ttfs(SpikeTensor(np.zeros((1, 1, 10), dtype=np.int8), 1.0, 10),
-                    Scheme.BINARY, 10)
+        decode_ttfs(tensor, Scheme.BINARY, 10)
 
 
 def test_snr_of_an_encoded_set_equals_encoding_it_afresh():
@@ -124,13 +135,44 @@ def test_snr_of_an_encoded_set_equals_encoding_it_afresh():
 
 
 def test_encoded_size_cap_counts_spike_bytes(monkeypatch):
-    from spikecodec import evaluation
+    from spikecodec import core
 
     ds = synth_dataset(2, 2, seed=3, seconds=1.0)  # 4 windows of 20 samples
     # 4 windows x 5 trains x 7 channels x 19 * 3 steps
-    monkeypatch.setattr(evaluation, "ENCODED_MAX_BYTES", 4 * 5 * 7 * 57)
+    monkeypatch.setattr(core, "MAX_BLOCK_BYTES", 4 * 5 * 7 * 57)
     assert len(encode_dataset(ds, variant_config("delta-mod", interp_factor=3))) == 4
     # one window more, or one more step per sample interval
     for more, interp in ((ds.subset([0, 1, 2, 3, 0]), 3), (ds, 4)):
         with pytest.raises(ConfigError, match="spike bytes, over the 7,980-byte cap"):
             encode_dataset(more, variant_config("delta-mod", interp_factor=interp))
+
+
+def test_training_size_cap_counts_float64_blocks(monkeypatch):
+    from spikecodec import core, evaluation
+
+    ds = synth_dataset(2, 2, seed=3, seconds=1.0)  # 4 windows of 20 samples
+    train_ds, test_ds = ds.split_leave_one_user_out(ds.users[0])  # 2 and 2
+    config = variant_config("delta-mod", interp_factor=3)  # 5 x 7 features, 57 steps
+    # float64s: the inputs of both splits, 4 x 35 x 57, and one step of one
+    # sample through 35-256-64-2, 57 x step_width 999
+    inputs, step = 4 * 35 * 57, 57 * 999
+
+    def fit(train, batch):
+        return fit_variant(config, train, test_ds, TrainConfig(epochs=1, batch_size=batch),
+                           net_seed=0, track_train_accuracy=False)
+
+    cap = 8 * (inputs + 2 * step)
+    monkeypatch.setattr(core, "MAX_BLOCK_BYTES", cap)
+    # a batch holds at most the 2 windows of a split
+    for batch in (2, 64):
+        assert len(fit(train_ds, batch)[0]) == 2
+
+    def encode_nothing(*args):
+        raise AssertionError("a refused plan encoded a window")
+
+    monkeypatch.setattr(evaluation, "encode_dataset", encode_nothing)
+    with pytest.raises(ConfigError, match=f"float64 blocks, over the {cap:,}-byte cap"):
+        fit(train_ds.subset([0, 1, 0]), 2)  # one window more
+    monkeypatch.setattr(core, "MAX_BLOCK_BYTES", cap - 1)
+    with pytest.raises(ConfigError, match=f"holds {cap:,} bytes of float64 blocks"):
+        fit(train_ds, 2)
