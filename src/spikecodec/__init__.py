@@ -47,7 +47,6 @@ from .metrics import (
 from .snn import (
     Classification,
     CubaNetwork,
-    CubaParams,
     GradCheckResult,
     TrainConfig,
     TrainResult,

@@ -32,6 +32,7 @@ from .dataio import (
     write_json,
     write_spikes,
 )
+from .encoders import encode
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -234,6 +235,8 @@ def cmd_evaluate(args) -> int:
     configs = [_config_from_args(args, name) for name in names]
     for config in configs:  # before the first row trains
         check_training_size(config, train_ds, test_ds, train_cfg.batch_size)
+        if len(train_ds):  # the encoder's own window rules
+            encode(train_ds.signals[0], config)
     rows = []
     for name, config in zip(names, configs):
         row = evaluate_scheme(name, config, train_ds, test_ds, train_cfg,

@@ -294,8 +294,8 @@ def _level(t) -> float:
 
 
 def _check_banks(banks):
-    """At least one bank, all of one level count, each positive and
-    strictly increasing."""
+    """At least one bank, all of one level count, each positive, finite
+    and strictly increasing."""
     if not banks:
         raise ThresholdOrderError("thresholds hold no bank")
     sizes = {len(b) for b in banks}
@@ -305,8 +305,8 @@ def _check_banks(banks):
         raise ThresholdOrderError("threshold bank is empty")
     for bank in banks:
         arr = np.asarray(bank, dtype=np.float64)
-        if not (arr > 0).all():  # NaN fails this too
-            raise ThresholdOrderError(f"thresholds must be positive, got {bank}")
+        if not ((arr > 0) & (arr < np.inf)).all():  # NaN fails this too
+            raise ThresholdOrderError(f"thresholds must be positive and finite, got {bank}")
         if (np.diff(arr) <= 0).any():
             raise ThresholdOrderError(f"thresholds must be strictly increasing, got {bank}")
 

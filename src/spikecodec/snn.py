@@ -3,7 +3,10 @@
 The neuron keeps two state variables per step: a synaptic current that
 low-pass filters incoming spikes and a membrane potential driven by that
 current.  A neuron fires when the potential reaches the threshold and is
-hard-reset to zero.  Training backpropagates through time, replacing the
+hard-reset to zero.  Every neuron of every layer has the same threshold
+and decays, the module constants THRESHOLD, CURRENT_DECAY and
+VOLTAGE_DECAY; a checkpoint records them, and load_checkpoint refuses one
+that holds others.  Training backpropagates through time, replacing the
 threshold derivative with a fast-sigmoid surrogate; a fully differentiable
 soft mode (sigmoid spikes), which training never uses, lets gradient_check
 compare the whole backward pass against finite differences.
@@ -93,6 +96,11 @@ INIT_GAIN = 2.0
 WEIGHT_LIMIT = float(np.finfo(np.float32).max)
 # Steepness of the surrogate (and soft-mode sigmoid) spike derivative.
 SURROGATE_SLOPE = 10.0
+# The one neuron model of every layer: the firing threshold and the
+# per-step decay fractions of the synaptic current and membrane potential.
+THRESHOLD = 1.0
+CURRENT_DECAY = 0.5
+VOLTAGE_DECAY = 0.3
 # ADAM's moment decays and denominator guard.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -222,24 +230,6 @@ def _in_halves(fn, size: int, work: int):
 
 
 @dataclass(frozen=True)
-class CubaParams:
-    """Neuron constants: firing threshold and the per-step decay fractions
-    of the synaptic current and the membrane potential."""
-
-    threshold: float = 1.0
-    current_decay: float = 0.5
-    voltage_decay: float = 0.3
-
-    def __post_init__(self):
-        if not 0 < self.threshold < np.inf:
-            raise ConfigError(f"threshold must be positive and finite, got {self.threshold}")
-        if not 0 < self.current_decay <= 1:
-            raise ConfigError(f"current_decay must be in (0, 1], got {self.current_decay}")
-        if not 0 < self.voltage_decay <= 1:
-            raise ConfigError(f"voltage_decay must be in (0, 1], got {self.voltage_decay}")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
     learning_rate: float = 1e-3
@@ -263,9 +253,11 @@ class CubaNetwork:
 
     layer_sizes includes the input width, e.g. (7, 256, 64, 12).  Weights are
     drawn from a seeded normal scaled by INIT_GAIN/sqrt(fan_in) unless given.
+    Every neuron follows the module constants THRESHOLD, CURRENT_DECAY and
+    VOLTAGE_DECAY.
     """
 
-    def __init__(self, layer_sizes, params=None, dropout_p: float = 0.1,
+    def __init__(self, layer_sizes, dropout_p: float = 0.1,
                  weights=None, seed: int = 0):
         sizes = tuple(int(s) for s in layer_sizes)
         if len(sizes) < 2:
@@ -277,13 +269,6 @@ class CubaNetwork:
         self.layer_sizes = sizes
         self.dropout_p = float(dropout_p)
         n_layers = len(sizes) - 1
-        if params is None:
-            params = CubaParams()
-        if isinstance(params, CubaParams):
-            params = [params] * n_layers
-        self.params = list(params)
-        if len(self.params) != n_layers:
-            raise ShapeError(f"{len(self.params)} param sets for {n_layers} layers")
         if weights is None:
             rng = Rng(seed)
             weights = [
@@ -310,8 +295,8 @@ class CubaNetwork:
         return self.layer_sizes[-1]
 
 
-def _soft_spike(v: np.ndarray, params: CubaParams) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-SURROGATE_SLOPE * (v - params.threshold)))
+def _soft_spike(v: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-SURROGATE_SLOPE * (v - THRESHOLD)))
 
 
 @dataclass(frozen=True)
@@ -365,8 +350,8 @@ def step_width(layer_sizes) -> int:
     return sum(s) + sum(s[1:]) + max(s[1::2], default=0) + max(s[2::2], default=0)
 
 
-def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
-                 mask=None, split: bool = True):
+def _lif_forward(drive: np.ndarray, v_rec, soft: bool = False, mask=None,
+                 split: bool = True):
     """LIF recurrence over a (T, B, n) block of input currents.
 
     Overwrites drive with the spikes, times mask (a (B, n) dropout mask) if
@@ -379,6 +364,7 @@ def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
     t_len, b, n = drive.shape
     width = b * n
     state = np.zeros((2, width))
+    au, av = 1.0 - CURRENT_DECAY, 1.0 - VOLTAGE_DECAY
     kernel = None if soft else _kernel()
     if kernel is not None:
         d, vr, m, st = (_ptr(drive, drive.shape),
@@ -387,20 +373,17 @@ def _lif_forward(drive: np.ndarray, v_rec, p: CubaParams, soft: bool = False,
                         _ptr(state, (2, width)))
         _in_halves(lambda lo, hi: kernel.cuba_forward(
             d + 8 * lo, _lane(vr, lo), _lane(m, lo), st + 8 * lo, t_len,
-            hi - lo, width, 1.0 - p.current_decay, 1.0 - p.voltage_decay,
-            p.threshold),
+            hi - lo, width, au, av, THRESHOLD),
             width, t_len * width * KERNEL_WORK if split else 0)
         return
-    au = 1.0 - p.current_decay
-    av = 1.0 - p.voltage_decay
     u, v = state.reshape(2, b, n)
     for t in range(t_len):
         u[...] = au * u + drive[t]
         v[...] = av * v + u
         if soft:
-            s = _soft_spike(v, p)
+            s = _soft_spike(v)
         else:
-            s = (v >= p.threshold).astype(np.float64)
+            s = (v >= THRESHOLD).astype(np.float64)
         if v_rec is not None:
             v_rec[t] = v
         v *= 1.0 - s
@@ -436,8 +419,8 @@ def _simulate(net: CubaNetwork, x: np.ndarray, soft: bool = False,
         _in_halves(lambda lo, hi: np.matmul(x_in[lo:hi], w.T, out=d[lo:hi]),
                    rows, rows * n_in * n_out if hidden else 0)
         v_rec = work.take(("v", li), drive.shape) if record else None
-        _lif_forward(drive, v_rec, net.params[li], soft,
-                     mask=_dropout_mask(net, dropout_masks, li), split=hidden)
+        _lif_forward(drive, v_rec, soft, mask=_dropout_mask(net, dropout_masks, li),
+                     split=hidden)
         if record:
             tape.append({"x": current, "v": v_rec})
         current = drive
@@ -522,8 +505,8 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
         n_out, n_in = w.shape
         hidden = li < net.n_layers - 1
         macs = rows * n_in * n_out if hidden else 0
-        _lif_backward(layer["v"], g, _dropout_mask(net, dropout_masks, li),
-                      net.params[li], soft, split=hidden)
+        _lif_backward(layer["v"], g, _dropout_mask(net, dropout_masks, li), soft,
+                      split=hidden)
         g_u = g.reshape(rows, n_out)
         x_in = layer["x"].reshape(rows, n_in)
         # OpenBLAS gives bitwise the same dW either way; the transposed form
@@ -543,7 +526,7 @@ def _loss_and_grads(net: CubaNetwork, x: np.ndarray, labels: np.ndarray,
     return loss, grads
 
 
-def _lif_backward(v_seq, g, mask, p: CubaParams, soft: bool, split: bool = True):
+def _lif_backward(v_seq, g, mask, soft: bool, split: bool = True):
     """Reverse LIF recurrence over a (T, B, n) block, in place: g holds the
     spike gradients (times the dropout mask, if any) on entry and the
     synaptic-current gradients on return.  The spikes are re-derived from
@@ -552,6 +535,7 @@ def _lif_backward(v_seq, g, mask, p: CubaParams, soft: bool, split: bool = True)
     t_len, b, n = g.shape
     width = b * n
     state = np.zeros((2, width))
+    au, av = 1.0 - CURRENT_DECAY, 1.0 - VOLTAGE_DECAY
     kernel = None if soft else _kernel()
     if kernel is not None:
         vs, gs, m, st = (_ptr(v_seq, g.shape), _ptr(g, g.shape),
@@ -559,22 +543,19 @@ def _lif_backward(v_seq, g, mask, p: CubaParams, soft: bool, split: bool = True)
                          _ptr(state, (2, width)))
         _in_halves(lambda lo, hi: kernel.cuba_backward(
             vs + 8 * lo, gs + 8 * lo, _lane(m, lo), st + 8 * lo, t_len,
-            hi - lo, width, 1.0 - p.current_decay, 1.0 - p.voltage_decay,
-            p.threshold, SURROGATE_SLOPE),
+            hi - lo, width, au, av, THRESHOLD, SURROGATE_SLOPE),
             width, t_len * width * KERNEL_WORK if split else 0)
         return
-    au = 1.0 - p.current_decay
-    av = 1.0 - p.voltage_decay
     cu, cvp = state.reshape(2, b, n)
     for t in range(t_len - 1, -1, -1):
         v = v_seq[t]
         if soft:
-            s = _soft_spike(v, p)
+            s = _soft_spike(v)
             sd = SURROGATE_SLOPE * s * (1.0 - s)
         else:
-            s = (v >= p.threshold).astype(np.float64)
+            s = (v >= THRESHOLD).astype(np.float64)
             # fast-sigmoid surrogate for the threshold derivative
-            sd = 1.0 / np.square(1.0 + SURROGATE_SLOPE * np.abs(v - p.threshold))
+            sd = 1.0 / np.square(1.0 + SURROGATE_SLOPE * np.abs(v - THRESHOLD))
         g_s = g[t] if mask is None else g[t] * mask
         g_v = sd * (g_s - v * cvp) + (1.0 - s) * cvp
         g[t] = g_v + au * cu
@@ -779,14 +760,21 @@ def _header_layout(n_layers: int) -> str:
     return f"{n_layers + 1}Id{3 * n_layers}d"
 
 
+def _neuron_constants() -> dict:
+    """The neuron constants by their CUB1 field names, in file order."""
+    return {"threshold": THRESHOLD, "current_decay": CURRENT_DECAY,
+            "voltage_decay": VOLTAGE_DECAY}
+
+
 def save_checkpoint(net: CubaNetwork, path, train_config: TrainConfig = None,
                     sidecar_extra: dict = None):
     """Write a versioned binary checkpoint plus a JSON sidecar.
 
     Layout: magic, version u16, layer count u8, layer sizes u32, dropout f64,
-    per-layer neuron params as 3 x f64, then per-layer weights as
-    little-endian f32 row-major.  A NaN weight, or one beyond WEIGHT_LIMIT,
-    raises DivergenceError before anything is written.
+    per layer the neuron constants THRESHOLD, CURRENT_DECAY and VOLTAGE_DECAY
+    as 3 x f64, then per-layer weights as little-endian f32 row-major.  A NaN
+    weight, or one beyond WEIGHT_LIMIT, raises DivergenceError before
+    anything is written.
     """
     path = os.fspath(path)
     if not _weights_in_range(net.weights):
@@ -796,7 +784,7 @@ def save_checkpoint(net: CubaNetwork, path, train_config: TrainConfig = None,
     header = struct.pack(
         "<4sHB" + _header_layout(n), CHECKPOINT_MAGIC, CHECKPOINT_VERSION, n,
         *net.layer_sizes, net.dropout_p,
-        *(c for p in net.params for c in (p.threshold, p.current_decay, p.voltage_decay)))
+        *(list(_neuron_constants().values()) * n))
     atomic_write(path, header + b"".join(
         np.ascontiguousarray(w, dtype="<f4").tobytes() for w in net.weights))
 
@@ -819,9 +807,10 @@ def load_checkpoint(path):
     """Read a checkpoint written by save_checkpoint.
 
     Returns (net, sidecar dict); the sidecar is empty if its file is absent.
-    Fields that parse but hold invalid values (a zero width, a non-positive
-    threshold, a weight that is not finite) raise ParseError, like bytes
-    after the last weight and a sidecar that is not a JSON object.
+    Fields that parse but hold invalid values (a zero width, a neuron
+    constant other than this module's, a weight that is not finite) raise
+    ParseError, like bytes after the last weight and a sidecar that is not
+    a JSON object.
     """
     path = os.fspath(path)
     blob, n_layers, offset = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
@@ -829,7 +818,12 @@ def load_checkpoint(path):
         raise ShapeError(f"{path}: checkpoint has no layers")
     fields, offset = unpack_header("<" + _header_layout(n_layers), blob, offset, path)
     sizes, dropout_p = fields[:n_layers + 1], fields[n_layers + 1]
-    constants = fields[n_layers + 2:]
+    stored = fields[n_layers + 2:]
+    for i in range(n_layers):
+        for (name, fixed), value in zip(_neuron_constants().items(), stored[3 * i:]):
+            if value != fixed:
+                raise ParseError(f"{path}: layer {i} {name} is {value}, but the "
+                                 f"network's is fixed at {fixed}")
     weights = []
     for i in range(n_layers):
         count = sizes[i + 1] * sizes[i]
@@ -843,9 +837,7 @@ def load_checkpoint(path):
             sizes[i + 1], sizes[i]).astype(np.float64))
         offset += nbytes
     try:
-        net = CubaNetwork(sizes, params=[CubaParams(*constants[3 * i:3 * i + 3])
-                                         for i in range(n_layers)],
-                          dropout_p=dropout_p, weights=weights)
+        net = CubaNetwork(sizes, dropout_p=dropout_p, weights=weights)
     except ConfigError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     expect_end(blob, offset, path)

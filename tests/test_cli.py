@@ -216,6 +216,12 @@ class TestArgumentErrors:
         ["train", *SYNTH_SMALL, *ONE_SAMPLE, "--scheme", "delta-mod", "--epochs", "1"],
         [*EVALUATE, *ONE_SAMPLE, "--schemes", "delta-mod"],
         ["encode", *SYNTH_SMALL, "--scheme", "delta-mod", "--thresholds", "0.3,0.1"],
+        ["encode", *SYNTH_SMALL, "--scheme", "delta-mod", "--thresholds", "inf"],
+        ["encode", *SYNTH_SMALL, "--scheme", "delta-mod", "--thresholds", "0.1,1e400"],
+        # each variant's own window rules, checked before the first row
+        # trains: TTFS needs two steps, delta modulation two samples
+        [*EVALUATE, "--steps", "1"],
+        [*EVALUATE, *ONE_SAMPLE, "--schemes", "rate-uniform,delta-mod"],
         # synthetic sets over core.MAX_BLOCK_BYTES, refused before numpy
         # allocates them
         [*OVERSIZED, "--classes", "99999999999999999999", "--samples-per-class", "2"],
@@ -232,6 +238,8 @@ class TestArgumentErrors:
             "perturb-p-above-one", "perturb-negative-seed",
             "encode-delta-one-sample", "train-delta-one-sample",
             "evaluate-delta-one-sample", "delta-unordered-thresholds",
+            "delta-infinite-threshold", "delta-overflowing-threshold",
+            "evaluate-ttfs-one-step", "evaluate-delta-one-sample-second",
             "oversized-classes", "oversized-duration-at-1hz", "oversized-duration",
             "oversized-interp", "evaluate-oversized-interp"])
     def test_is_config_error(self, args, tmp_path, capsys):
@@ -623,7 +631,9 @@ class TestMalformedDataFiles:
     @pytest.mark.parametrize("fmt, offset, value, message", (
         ("<I", CUB_WIDTH, 0, "layer sizes"),
         ("<d", CUB_THRESHOLD, 0.0, "threshold"),
-        ("<d", CUB_THRESHOLD, float("nan"), "threshold")))
+        ("<d", CUB_THRESHOLD, float("nan"), "threshold"),
+        # after the threshold and the current decay
+        ("<d", CUB_THRESHOLD + 16, 0.25, "layer 0 voltage_decay")))
     def test_checkpoint_value_outside_its_range(self, fmt, offset, value, message,
                                                 spikes_dir, tmp_path, capsys):
         path = self.checkpoint(tmp_path)
@@ -679,6 +689,8 @@ class TestMalformedDataFiles:
         ("rate-uniform", "seed", 1.5),
         ("rate-normal", "normal_var", float("nan")),
         ("rate-normal", "normal_mu", float("nan")),
+        # json.dumps writes Infinity, which json.load reads back
+        ("delta-mod", "thresholds", [[0.1, float("inf")]]),
     ))
     def test_spike_sidecar_encoding_field_of_wrong_type(self, scheme, field, value,
                                                         spikes_dir, tmp_path, capsys):

@@ -155,6 +155,9 @@ class TestEncodingConfig:
             EncodingConfig(Scheme.DELTA_MOD, thresholds=(0.0, 0.1))
         with pytest.raises(ThresholdOrderError):
             EncodingConfig(Scheme.DELTA_MOD, thresholds=(0.1, float("nan")))
+        # JSON has no infinity, so a sidecar could not record such a level
+        with pytest.raises(ThresholdOrderError, match="positive and finite"):
+            EncodingConfig(Scheme.DELTA_MOD, thresholds=((0.1, 0.2), (0.1, float("inf"))))
 
     def test_round_trips_through_dict(self):
         cfg = EncodingConfig(Scheme.DELTA_MOD, thresholds=(0.1, 0.2), seed=9)

@@ -24,7 +24,7 @@ from spikecodec import (
     write_spikes,
 )
 from spikecodec.dataio import DEFAULT_LABELS, SessionRecord, atomic_write
-from spikecodec.snn import CubaNetwork, CubaParams, TrainConfig, save_checkpoint
+from spikecodec.snn import CubaNetwork, TrainConfig, load_checkpoint, save_checkpoint
 from spikecodec.errors import (
     BadMagicError,
     ConfigError,
@@ -382,7 +382,7 @@ class TestFileBytes:
     PINNED = {
         "w.spk": "44eecd531f69e199e11fbd1378b6fc3f0819812ac75b8d46b5f2f748969d613f",
         "w.json": "9eb2c6c6fec51fbdfc6e7d75b28a6f83a6955a9e2ffe058936d6708de10ac895",
-        "m.cuba": "69fb7c2c0c8391237a4363e85848fccddef907108dd8f9b0464b5dc53c9c9449",
+        "m.cuba": "69e272daf90c78a54f92577a0e90f00fe4219ad11ce9d573b261d46f60eef041",
         "m.cuba.json": "7c6a56318b176935d45a7e29919ba0151e4820d04d722d0eff4f8d087a0c2264",
     }
 
@@ -395,7 +395,6 @@ class TestFileBytes:
                      tmp_path / "w.spk")
         net = CubaNetwork(
             (3, 4, 2), dropout_p=0.1,
-            params=[CubaParams(1.0, 0.5, 0.3), CubaParams(0.75, 0.25, 0.125)],
             weights=[np.linspace(-1.0, 1.0, 12).reshape(4, 3),
                      np.linspace(0.5, -0.5, 8).reshape(2, 4)])
         save_checkpoint(net, tmp_path / "m.cuba",
@@ -406,6 +405,18 @@ class TestFileBytes:
                    for p in tmp_path.iterdir()}
         assert not list(tmp_path.glob("*.tmp"))
         assert digests == self.PINNED
+
+        # the same network with layer 1's neuron constants at (0.75, 0.25,
+        # 0.125), after the 27-byte prefix and layer 0's 24 bytes, is the
+        # file pinned when each layer could hold its own; it no longer loads
+        path = tmp_path / "m.cuba"
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<3d", blob, 51, 0.75, 0.25, 0.125)
+        path.write_bytes(bytes(blob))
+        assert (hashlib.sha256(blob).hexdigest()
+                == "69fb7c2c0c8391237a4363e85848fccddef907108dd8f9b0464b5dc53c9c9449")
+        with pytest.raises(ParseError, match="layer 1 threshold"):
+            load_checkpoint(path)
 
     def test_rate_normal_spike_file_and_sidecar_are_pinned(self, tmp_path):
         # the spikes follow the fixed Gaussian curve, and the sidecar

@@ -19,7 +19,6 @@ import pytest
 
 from spikecodec import (
     CubaNetwork,
-    CubaParams,
     EncodingConfig,
     Rng,
     Scheme,
@@ -67,7 +66,14 @@ def small_task(n_per_class=4, seconds=1.0, steps=10, seed=1):
     return encode_windows(ds, cfg, base_seed=seed)
 
 
-def cuba_steps(x, weights, params):
+def set_neuron(monkeypatch, threshold, current_decay, voltage_decay):
+    """Give every neuron other constants for the rest of a test."""
+    monkeypatch.setattr(snn, "THRESHOLD", threshold)
+    monkeypatch.setattr(snn, "CURRENT_DECAY", current_decay)
+    monkeypatch.setattr(snn, "VOLTAGE_DECAY", voltage_decay)
+
+
+def cuba_steps(x, weights):
     """Run one dense CUBA layer from a fresh state over an input sequence x
     (timesteps, n_in) through the numpy reference recurrence.
 
@@ -79,11 +85,11 @@ def cuba_steps(x, weights, params):
     v = np.empty_like(drive)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(snn, "_kernel", lambda: None)
-        _lif_forward(drive, v, params, soft=False)
+        _lif_forward(drive, v, soft=False)
     s, v = drive[:, 0], v[:, 0]
     v_post = v * (1.0 - s)
     v_prev = np.vstack([np.zeros((1, v.shape[1])), v_post[:-1]])
-    return s, v - (1.0 - params.voltage_decay) * v_prev, v_post
+    return s, v - (1.0 - snn.VOLTAGE_DECAY) * v_prev, v_post
 
 
 def raster(net, tensor):
@@ -93,43 +99,41 @@ def raster(net, tensor):
 
 class TestCubaStep:
     def test_zero_weights_stay_silent(self):
-        p = CubaParams()
         w = np.zeros((4, 3))
-        s, u, v = cuba_steps(np.ones((20, 3)), w, p)
+        s, u, v = cuba_steps(np.ones((20, 3)), w)
         assert (s == 0).all()
         assert (u[-1] == 0).all() and (v[-1] == 0).all()
 
-    def test_single_suprathreshold_drive_spikes_and_resets(self):
+    def test_single_suprathreshold_drive_spikes_and_resets(self, monkeypatch):
         # drive 1.5 * threshold from fresh state: u = v = 1.5, spike, reset
-        p = CubaParams(threshold=1.0, current_decay=0.5, voltage_decay=0.3)
-        s, u, v = cuba_steps([[1.0]], [[1.5]], p)
+        set_neuron(monkeypatch, threshold=1.0, current_decay=0.5, voltage_decay=0.3)
+        s, u, v = cuba_steps([[1.0]], [[1.5]])
         assert s[0, 0] == 1.0
         assert u[0, 0] == pytest.approx(1.5)
         assert v[0, 0] == 0.0
 
-    def test_subthreshold_drive_converges_below_threshold(self):
+    def test_subthreshold_drive_converges_below_threshold(self, monkeypatch):
         # constant drive c: u -> c / a_u, v -> u / a_v (geometric series
         # limits); with the limit below threshold the neuron never fires
-        p = CubaParams(threshold=1.0, current_decay=0.5, voltage_decay=0.5)
+        set_neuron(monkeypatch, threshold=1.0, current_decay=0.5, voltage_decay=0.5)
         c = 0.2
         limit = (c / 0.5) / 0.5
-        assert limit < p.threshold
-        s, _, v = cuba_steps(np.ones((1000, 1)), [[c]], p)
+        assert limit < snn.THRESHOLD
+        s, _, v = cuba_steps(np.ones((1000, 1)), [[c]])
         assert (s == 0.0).all()
         assert v[-1, 0] == pytest.approx(limit, rel=1e-6)
 
-    def test_identity_relay_special_case(self):
+    def test_identity_relay_special_case(self, monkeypatch):
         # full decays and threshold 0.5 relay a {0,1} train unchanged
-        p = CubaParams(threshold=0.5, current_decay=1.0, voltage_decay=1.0)
+        set_neuron(monkeypatch, threshold=0.5, current_decay=1.0, voltage_decay=1.0)
         w = np.array([[1.0]])
         pattern = [1, 0, 1, 1, 0, 0, 1]
-        s, _, _ = cuba_steps(np.array(pattern, dtype=np.float64)[:, None], w, p)
+        s, _, _ = cuba_steps(np.array(pattern, dtype=np.float64)[:, None], w)
         out = [int(spike) for spike in s[:, 0]]
         assert out == pattern
 
     def test_dimension_checks(self):
-        p = CubaParams()
-        net = CubaNetwork((2, 4), params=p, dropout_p=0.0, weights=[np.zeros((4, 2))])
+        net = CubaNetwork((2, 4), dropout_p=0.0, weights=[np.zeros((4, 2))])
         with pytest.raises(ShapeError):
             output_rates(net, np.ones((1, 3, 10)))
 
@@ -141,13 +145,12 @@ class TestForward:
         assert (raster(net, silent) == 0).all()
         assert (output_rates(net, _stack_batch([silent])) == 0).all()
 
-    def test_saturating_drive_rates_near_one(self):
+    def test_saturating_drive_rates_near_one(self, monkeypatch):
         # strong positive weights and a dense input saturate the output
+        set_neuron(monkeypatch, threshold=1.0, current_decay=1.0, voltage_decay=1.0)
         sizes = (4, 6, 3)
         weights = [np.full((6, 4), 2.0), np.full((3, 6), 2.0)]
-        net = CubaNetwork(sizes, params=CubaParams(threshold=1.0, current_decay=1.0,
-                                                   voltage_decay=1.0),
-                          dropout_p=0.0, weights=weights)
+        net = CubaNetwork(sizes, dropout_p=0.0, weights=weights)
         dense = SpikeTensor(np.ones((1, 4, 30), dtype=np.int8), 1.0)
         assert output_rates(net, _stack_batch([dense])).min() >= 0.9
 
@@ -163,23 +166,21 @@ class TestForward:
         out, tape = _simulate(net, _stack_batch([t for t, _ in small_task()[:4]]),
                               record=True)
         spikes = [layer["x"] for layer in tape[1:]] + [out]
-        for layer, s, p in zip(tape, spikes, net.params):
-            assert (layer["v"] * (1.0 - s) < p.threshold).all()
+        for layer, s in zip(tape, spikes):
+            assert (layer["v"] * (1.0 - s) < snn.THRESHOLD).all()
 
-    def test_doubling_weights_and_threshold_preserves_raster(self):
+    def test_doubling_weights_and_threshold_preserves_raster(self, monkeypatch):
         rng = np.random.default_rng(17)
         for trial in range(5):
             seed = int(rng.integers(0, 10_000))
             net = CubaNetwork((7, 12, 3), dropout_p=0.0, seed=seed)
-            doubled = CubaNetwork(
-                (7, 12, 3),
-                params=[CubaParams(p.threshold * 2, p.current_decay, p.voltage_decay)
-                        for p in net.params],
-                dropout_p=0.0,
-                weights=[w * 2 for w in net.weights],
-            )
+            doubled = CubaNetwork((7, 12, 3), dropout_p=0.0,
+                                  weights=[w * 2 for w in net.weights])
             tensor, _ = small_task(seed=trial)[0]
-            assert np.array_equal(raster(net, tensor), raster(doubled, tensor))
+            expected = raster(net, tensor)
+            with monkeypatch.context() as m:
+                m.setattr(snn, "THRESHOLD", 2 * snn.THRESHOLD)
+                assert np.array_equal(raster(doubled, tensor), expected)
 
 
 class TestRateLoss:
@@ -420,16 +421,18 @@ class TestGradientCheck:
 
 
 class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        net = CubaNetwork((7, 16, 8, 3), dropout_p=0.2, seed=5,
-                          params=CubaParams(1.25, 0.4, 0.15))
+    def test_round_trip(self, tmp_path, monkeypatch):
+        set_neuron(monkeypatch, threshold=1.25, current_decay=0.4, voltage_decay=0.15)
+        net = CubaNetwork((7, 16, 8, 3), dropout_p=0.2, seed=5)
         path = tmp_path / "model.cuba"
         cfg = TrainConfig(epochs=3, seed=9)
         save_checkpoint(net, path, train_config=cfg, sidecar_extra={"note": "x"})
         loaded, sidecar = load_checkpoint(path)
         assert loaded.layer_sizes == net.layer_sizes
         assert loaded.dropout_p == net.dropout_p
-        assert loaded.params[0] == net.params[0]
+        # the constants follow the 4-byte sizes and the dropout
+        assert (struct.unpack_from("<9d", path.read_bytes(), 7 + 4 * 4 + 8)
+                == (1.25, 0.4, 0.15) * 3)
         for a, b in zip(loaded.weights, net.weights):
             np.testing.assert_array_equal(a, b.astype(np.float32).astype(np.float64))
         assert sidecar["train_config"]["seed"] == 9
@@ -498,7 +501,7 @@ class TestCheckpoint:
         path = tmp_path / "model.cuba"
         save_checkpoint(net, path)
         loaded, _ = load_checkpoint(path)
-        rounded = CubaNetwork(net.layer_sizes, params=net.params, dropout_p=0.0,
+        rounded = CubaNetwork(net.layer_sizes, dropout_p=0.0,
                               weights=[w.astype(np.float32).astype(np.float64)
                                        for w in net.weights])
         for tensor, _ in data[:3]:
@@ -566,7 +569,7 @@ class TestSimulateInternals:
 
         s = x[0].T
         for li in range(2):
-            s, _, _ = cuba_steps(s, net.weights[li], net.params[li])
+            s, _, _ = cuba_steps(s, net.weights[li])
         manual = s[:, np.newaxis, :]
         np.testing.assert_array_equal(out, manual)
 
@@ -697,7 +700,11 @@ class TestCompiledKernel:
             for g, g_r in zip(grads, grads_r):
                 np.testing.assert_array_equal(g, g_r)
 
-    PARAMS = CubaParams(threshold=1.0, current_decay=0.4, voltage_decay=0.2)
+    @staticmethod
+    def set_neuron(monkeypatch):
+        """Decays unlike the shipped ones and unlike each other, so a kernel
+        that swapped them would not match the reference."""
+        set_neuron(monkeypatch, threshold=1.0, current_decay=0.4, voltage_decay=0.2)
 
     @staticmethod
     def case_inputs(masked):
@@ -711,12 +718,13 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("record", (False, True))
     def test_forward_case_bitwise_equal_to_numpy_reference(self, record, masked,
                                                             monkeypatch):
+        self.set_neuron(monkeypatch)
         drive, mask = self.case_inputs(masked)
 
         def run():
             spikes = drive.copy()
             v_rec = np.full(drive.shape, np.nan) if record else None
-            _lif_forward(spikes, v_rec, self.PARAMS, mask=mask)
+            _lif_forward(spikes, v_rec, mask=mask)
             return spikes, v_rec
 
         (spikes, v_rec), (spikes_r, v_rec_r) = self.on_both_paths(run, monkeypatch)
@@ -731,12 +739,13 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("masked", (False, True))
     def test_backward_case_bitwise_equal_to_numpy_reference(self, masked,
                                                              monkeypatch):
+        self.set_neuron(monkeypatch)
         v_seq, mask = self.case_inputs(masked)
         spike_grads = np.random.default_rng(31).normal(size=v_seq.shape)
 
         def run():
             g = spike_grads.copy()
-            _lif_backward(v_seq, g, mask, self.PARAMS, soft=False)
+            _lif_backward(v_seq, g, mask, soft=False)
             return g
 
         g, g_r = self.on_both_paths(run, monkeypatch)
@@ -756,20 +765,21 @@ class TestCompiledKernel:
         rng = np.random.default_rng(width)
         block = rng.normal(0.4, 0.6, size=(37, 1, width))
         # from a zeroed state the first potentials equal the first currents
-        block[0, 0, ::3] = TestCompiledKernel.PARAMS.threshold
+        block[0, 0, ::3] = snn.THRESHOLD
         block[0, 0, 1::7] = np.nan
         mask = (rng.uniform(size=(1, width)) < 0.9) / 0.9 if masked else None
         return block, mask
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_every_remainder_width_is_bitwise_equal(self, width, monkeypatch):
+        self.set_neuron(monkeypatch)
         for masked in (False, True):
             drive, mask = self.width_inputs(width, masked)
             for record in (False, True):
                 def forward():
                     spikes = drive.copy()
                     v_rec = np.full(drive.shape, -1.0) if record else None
-                    _lif_forward(spikes, v_rec, self.PARAMS, mask=mask)
+                    _lif_forward(spikes, v_rec, mask=mask)
                     return spikes, v_rec
 
                 (spikes, v_rec), (spikes_r, v_rec_r) = self.on_both_paths(
@@ -783,7 +793,7 @@ class TestCompiledKernel:
 
             def backward():
                 g = spike_grads.copy()
-                _lif_backward(drive, g, mask, self.PARAMS, soft=False)
+                _lif_backward(drive, g, mask, soft=False)
                 return g
 
             g, g_r = self.on_both_paths(backward, monkeypatch)
@@ -1020,7 +1030,7 @@ class TestHalves:
         # at the firing threshold; the block splits at SPLIT_WORK exactly
         if snn._kernel() is None:
             pytest.skip("no C compiler to build the LIF kernel")
-        p = TestCompiledKernel.PARAMS
+        TestCompiledKernel.set_neuron(monkeypatch)
         for masked in (False, True):
             drive, mask = TestCompiledKernel.width_inputs(width, masked)
             spike_grads = np.random.default_rng(width + 2).normal(size=drive.shape)
@@ -1030,10 +1040,10 @@ class TestHalves:
                 for record in (False, True):
                     spikes = drive.copy()
                     v_rec = np.full(drive.shape, -1.0) if record else None
-                    _lif_forward(spikes, v_rec, p, mask=mask)
+                    _lif_forward(spikes, v_rec, mask=mask)
                     runs += [spikes, v_rec]
                 g = spike_grads.copy()
-                _lif_backward(drive, g, mask, p, soft=False)
+                _lif_backward(drive, g, mask, soft=False)
                 return runs + [g]
 
             monkeypatch.setattr(snn, "SPLIT_WORK", drive.size * snn.KERNEL_WORK)
