@@ -23,13 +23,14 @@ from .dataio import (
     NormStats,
     WindowedDataset,
     atomic_write,
+    json_bytes,
     load_csv,
     normalize,
     read_spikes,
-    remove_spikes,
+    sidecar_path,
+    spike_files,
     synth_dataset,
     window,
-    write_json,
     write_spikes,
 )
 from .encoders import encode
@@ -250,13 +251,14 @@ def cmd_evaluate(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     version = version_string()
+    reports = []  # written as one group: both files or neither
     if args.report in ("json", "both"):
         report = {
             "version": version,
             "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
             "rows": [r.to_dict() for r in rows],
         }
-        write_json(os.path.join(args.out, "report.json"), report)
+        reports.append((os.path.join(args.out, "report.json"), json_bytes(report)))
     if args.report in ("csv", "both"):
         header = ["scheme", "tensor_shape", "time_step_ms", "afr_pct", "snr_db",
                   "accuracy"]
@@ -275,8 +277,9 @@ def cmd_evaluate(args) -> int:
             cells += [f"{r.drops[p]:.6f}" for p in DEFAULT_P_LIST]
             cells += [r.dynamic_energy, r.execution_time, version]
             lines.append(",".join(cells))
-        atomic_write(os.path.join(args.out, "report.csv"),
-                     ("\n".join(lines) + "\n").encode())
+        reports.append((os.path.join(args.out, "report.csv"),
+                        ("\n".join(lines) + "\n").encode()))
+    atomic_write(reports)
     return 0
 
 
@@ -301,7 +304,8 @@ def cmd_train(args) -> int:
         f"{h.epoch},{h.loss:.8f},{h.train_accuracy:.6f},{h.test_accuracy:.6f}"
         for h in result.history
     ]
-    atomic_write(os.path.join(args.out, "history.csv"), ("\n".join(lines) + "\n").encode())
+    atomic_write([(os.path.join(args.out, "history.csv"),
+                   ("\n".join(lines) + "\n").encode())])
     print(f"best epoch {result.best_epoch}: "
           f"test accuracy {result.best_test_accuracy:.3f} -> {ckpt}")
     return 0
@@ -313,8 +317,8 @@ def _label_names(sidecar: dict, path: str):
     names = sidecar.get("label_names")
     if names is not None and not (isinstance(names, list)
                                   and all(isinstance(n, str) for n in names)):
-        raise ParseError(f"{path}.json: label_names must be a list of strings, "
-                         f"got {type(names).__name__}")
+        raise ParseError(f"{sidecar_path(path, checkpoint=True)}: label_names must "
+                         f"be a list of strings, got {type(names).__name__}")
     return names
 
 
@@ -366,7 +370,7 @@ def cmd_infer(args) -> int:
 def cmd_perturb(args) -> int:
     names = [os.path.basename(path) for path in args.spikes]
     # each output writes its spike file and the sidecar beside it
-    written = Counter(names + [os.path.splitext(name)[0] + ".json" for name in names])
+    written = Counter(names + [sidecar_path(name) for name in names])
     shared = sorted(name for name, count in written.items() if count > 1)
     if shared:
         raise ConfigError(f"inputs share the output name(s) {', '.join(shared)} "
@@ -374,7 +378,7 @@ def cmd_perturb(args) -> int:
     # every input is read and perturbed before --out exists, so a bad
     # argument or input file leaves nothing behind
     spec = NoiseSpec(args.noise_p, seed=derive_seed(args.seed, 0))
-    outputs = []
+    files = []
     for i, (path, name) in enumerate(zip(args.spikes, names)):
         tensor, metadata = read_spikes(path)
         if args.mode == "auto":
@@ -388,18 +392,9 @@ def cmd_perturb(args) -> int:
         metadata = dict(metadata)
         metadata["noise"] = {"error_probability": args.noise_p,
                              "seed": args.seed, "mode": mode.value}
-        outputs.append((noisy, metadata, os.path.join(args.out, name)))
+        files += spike_files(noisy, metadata, os.path.join(args.out, name))
     os.makedirs(args.out, exist_ok=True)
-    written = []
-    try:
-        for noisy, metadata, out_path in outputs:
-            write_spikes(noisy, metadata, out_path)
-            written.append(out_path)
-    except BaseException:
-        # a failed write leaves none of this call's outputs behind
-        for out_path in written:
-            remove_spikes(out_path)
-        raise
+    atomic_write(files)  # a failed write leaves none of the outputs behind
     print(f"perturbed {len(args.spikes)} file(s) at p={args.noise_p}")
     return 0
 

@@ -346,63 +346,75 @@ def synth_dataset(n_classes: int, samples_per_class: int, seed: int = 0,
     return WindowedDataset(signals, np.asarray(labels, dtype=np.int64), users, names)
 
 
-def atomic_write(path, payload: bytes):
-    """Write payload to a sibling .tmp file, then rename it onto path: a
-    reader sees the old file or the new one, never part of one.  When the
-    write or the rename fails, the .tmp file is removed."""
-    path = os.fspath(path)
-    tmp = path + ".tmp"
+def atomic_write(files):
+    """Write a group of (path, payload) pairs whole or not at all.
+
+    Every payload goes to a sibling .tmp file first; then each is renamed
+    onto its path in order, so a reader never sees part of a file.  When a
+    write or a rename fails, every .tmp file and every file already renamed
+    into place is removed (an older file that one replaced stays replaced)
+    and the error propagates.  A group naming one path twice, its .tmp
+    files counted, is a ConfigError, raised before anything is written.
+    """
+    files = [(os.fspath(path), payload) for path, payload in files]
+    paths = [path for path, _ in files]
+    names = paths + [path + ".tmp" for path in paths]
+    if len(set(names)) < len(names):
+        repeated = min(n for n in names if names.count(n) > 1)
+        raise ConfigError(f"one group of files names {repeated} twice")
+    renamed = 0
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
+        for path, payload in files:
+            with open(path + ".tmp", "wb") as fh:
+                fh.write(payload)
+        for path in paths:
+            os.replace(path + ".tmp", path)
+            renamed += 1
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        for i, path in enumerate(paths):
+            with contextlib.suppress(OSError):
+                os.unlink(path if i < renamed else path + ".tmp")
         raise
 
 
-def write_json(path, obj):
+def json_bytes(obj) -> bytes:
     """The one JSON file layout (sidecars and reports): indent 2, sorted
-    keys, a final newline, written atomically."""
-    atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+    keys, a final newline."""
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
-def write_spikes(tensor: SpikeTensor, metadata: dict, path):
-    """Serialize a spike tensor to the SPK1 binary format plus JSON sidecar.
+def sidecar_path(path, checkpoint: bool = False) -> str:
+    """The JSON sidecar beside a spike file (w.spk -> w.json) or, with
+    checkpoint, beside a CUB1 checkpoint (m.cuba -> m.cuba.json)."""
+    path = os.fspath(path)
+    return (path if checkpoint else os.path.splitext(path)[0]) + ".json"
+
+
+def spike_files(tensor: SpikeTensor, metadata: dict, path) -> list:
+    """The (path, payload) pairs of a spike tensor: the SPK1 file and its
+    JSON sidecar.
 
     Layout: magic "SPK1", version u16, dim count u8, dims u32 each, the time
     step in ms as f64, then the payload as signed 8-bit values in row-major
     (trains, channels, timesteps) order; all integers little-endian.  The
-    sidecar (same basename, .json) carries the metadata dict, with any
+    sidecar (sidecar_path) carries the metadata dict, with any
     EncodingConfig under "encoding" serialized to plain JSON, plus the
     tensor's window_steps.
     """
-    path = os.fspath(path)
     header = struct.pack("<4sHB3Id", SPIKE_MAGIC, SPIKE_VERSION, 3,
                          *tensor.data.shape, tensor.time_step_ms)
-    atomic_write(path, header + tensor.data.tobytes())
-
     sidecar = dict(metadata or {})
     if isinstance(sidecar.get("encoding"), EncodingConfig):
         sidecar["encoding"] = sidecar["encoding"].to_dict()
     sidecar["window_steps"] = tensor.window_steps
-    try:
-        write_json(_sidecar_path(path), sidecar)
-    except BaseException:
-        os.unlink(path)  # no spike file without its sidecar
-        raise
+    return [(path, header + tensor.data.tobytes()),
+            (sidecar_path(path), json_bytes(sidecar))]
 
 
-def remove_spikes(path):
-    """Delete a spike file written by write_spikes and its sidecar."""
-    os.unlink(path)
-    os.unlink(_sidecar_path(path))
-
-
-def _sidecar_path(path: str) -> str:
-    base, _ = os.path.splitext(path)
-    return base + ".json"
+def write_spikes(tensor: SpikeTensor, metadata: dict, path):
+    """Write a spike tensor's SPK1 file and sidecar (spike_files) as one
+    group."""
+    atomic_write(spike_files(tensor, metadata, path))
 
 
 def unpack_header(fmt: str, blob: bytes, offset: int, path: str):
@@ -482,7 +494,7 @@ def read_spikes(path):
     expect_end(blob, offset + count, path)
     data = np.frombuffer(payload, dtype=np.int8).reshape(dims)
 
-    metadata = read_sidecar(_sidecar_path(path))
+    metadata = read_sidecar(sidecar_path(path))
     try:
         tensor = SpikeTensor(data, time_step_ms=time_step_ms,
                              window_steps=metadata.pop("window_steps", 1))

@@ -68,10 +68,11 @@ from .core import Rng, check_field_types
 from .dataio import (
     atomic_write,
     expect_end,
+    json_bytes,
     read_container,
     read_sidecar,
+    sidecar_path,
     unpack_header,
-    write_json,
 )
 from .errors import (
     ConfigError,
@@ -171,12 +172,6 @@ def _ptr(a: np.ndarray, shape) -> int:
     return a.ctypes.data
 
 
-def _lane(address, lo: int):
-    """The address of float64 lane lo of the block at address, or None for
-    a block the kernel call omits."""
-    return None if address is None else address + 8 * lo
-
-
 # An op of a hidden layer runs in two halves, one on the calling thread and
 # one on the helper thread, when its work reaches SPLIT_WORK units: one
 # unit is a multiply-add of a GEMM, and a kernel call costs KERNEL_WORK
@@ -227,6 +222,22 @@ def _in_halves(fn, size: int, work: int):
     finally:
         other.exception()  # waits: the other half may still be writing
     other.result()
+
+
+def _run_lanes(entry, blocks, split: bool, *constants):
+    """Call a compiled LIF pass with the checked addresses of blocks (two
+    (T, B, n) blocks and a (B, n) mask, any but the first may be None) and
+    of a zeroed state, then the sizes and constants: in two halves of the
+    B * n lanes (_in_halves) when split is set and the block is large."""
+    t_len, b, n = blocks[0].shape
+    width = b * n
+    blocks = (*blocks, np.zeros((2, width)))  # held until both halves return
+    shapes = (blocks[0].shape, blocks[0].shape, (b, n), (2, width))
+    addresses = [None if a is None else _ptr(a, shape)
+                 for a, shape in zip(blocks, shapes)]
+    _in_halves(lambda lo, hi: entry(
+        *(None if a is None else a + 8 * lo for a in addresses), t_len,
+        hi - lo, width, *constants), width, t_len * width * KERNEL_WORK if split else 0)
 
 
 @dataclass(frozen=True)
@@ -361,23 +372,13 @@ def _lif_forward(drive: np.ndarray, v_rec, soft: bool = False, mask=None,
     is large (_in_halves); the numpy loop below is the reference it matches
     bit for bit.
     """
-    t_len, b, n = drive.shape
-    width = b * n
-    state = np.zeros((2, width))
     au, av = 1.0 - CURRENT_DECAY, 1.0 - VOLTAGE_DECAY
     kernel = None if soft else _kernel()
     if kernel is not None:
-        d, vr, m, st = (_ptr(drive, drive.shape),
-                        None if v_rec is None else _ptr(v_rec, drive.shape),
-                        None if mask is None else _ptr(mask, (b, n)),
-                        _ptr(state, (2, width)))
-        _in_halves(lambda lo, hi: kernel.cuba_forward(
-            d + 8 * lo, _lane(vr, lo), _lane(m, lo), st + 8 * lo, t_len,
-            hi - lo, width, au, av, THRESHOLD),
-            width, t_len * width * KERNEL_WORK if split else 0)
+        _run_lanes(kernel.cuba_forward, (drive, v_rec, mask), split, au, av, THRESHOLD)
         return
-    u, v = state.reshape(2, b, n)
-    for t in range(t_len):
+    u, v = np.zeros((2, *drive.shape[1:]))
+    for t in range(drive.shape[0]):
         u[...] = au * u + drive[t]
         v[...] = av * v + u
         if soft:
@@ -532,22 +533,14 @@ def _lif_backward(v_seq, g, mask, soft: bool, split: bool = True):
     synaptic-current gradients on return.  The spikes are re-derived from
     the pre-reset potentials v_seq as _lif_forward made them.  Dispatched,
     and split, like _lif_forward."""
-    t_len, b, n = g.shape
-    width = b * n
-    state = np.zeros((2, width))
     au, av = 1.0 - CURRENT_DECAY, 1.0 - VOLTAGE_DECAY
     kernel = None if soft else _kernel()
     if kernel is not None:
-        vs, gs, m, st = (_ptr(v_seq, g.shape), _ptr(g, g.shape),
-                         None if mask is None else _ptr(mask, (b, n)),
-                         _ptr(state, (2, width)))
-        _in_halves(lambda lo, hi: kernel.cuba_backward(
-            vs + 8 * lo, gs + 8 * lo, _lane(m, lo), st + 8 * lo, t_len,
-            hi - lo, width, au, av, THRESHOLD, SURROGATE_SLOPE),
-            width, t_len * width * KERNEL_WORK if split else 0)
+        _run_lanes(kernel.cuba_backward, (v_seq, g, mask), split, au, av, THRESHOLD,
+                   SURROGATE_SLOPE)
         return
-    cu, cvp = state.reshape(2, b, n)
-    for t in range(t_len - 1, -1, -1):
+    cu, cvp = np.zeros((2, *g.shape[1:]))
+    for t in range(g.shape[0] - 1, -1, -1):
         v = v_seq[t]
         if soft:
             s = _soft_spike(v)
@@ -768,7 +761,7 @@ def _neuron_constants() -> dict:
 
 def save_checkpoint(net: CubaNetwork, path, train_config: TrainConfig = None,
                     sidecar_extra: dict = None):
-    """Write a versioned binary checkpoint plus a JSON sidecar.
+    """Write a versioned binary checkpoint and its JSON sidecar as one group.
 
     Layout: magic, version u16, layer count u8, layer sizes u32, dropout f64,
     per layer the neuron constants THRESHOLD, CURRENT_DECAY and VOLTAGE_DECAY
@@ -785,9 +778,6 @@ def save_checkpoint(net: CubaNetwork, path, train_config: TrainConfig = None,
         "<4sHB" + _header_layout(n), CHECKPOINT_MAGIC, CHECKPOINT_VERSION, n,
         *net.layer_sizes, net.dropout_p,
         *(list(_neuron_constants().values()) * n))
-    atomic_write(path, header + b"".join(
-        np.ascontiguousarray(w, dtype="<f4").tobytes() for w in net.weights))
-
     sidecar = {
         "format": "cuba-checkpoint",
         "version": CHECKPOINT_VERSION,
@@ -800,7 +790,10 @@ def save_checkpoint(net: CubaNetwork, path, train_config: TrainConfig = None,
             "beta2": ADAM_BETA2, "eps": ADAM_EPS, "surrogate_slope": SURROGATE_SLOPE}
     if sidecar_extra:
         sidecar.update(sidecar_extra)
-    write_json(path + ".json", sidecar)
+    weights = b"".join(np.ascontiguousarray(w, dtype="<f4").tobytes()
+                       for w in net.weights)
+    atomic_write([(path, header + weights),
+                  (sidecar_path(path, checkpoint=True), json_bytes(sidecar))])
 
 
 def load_checkpoint(path):
@@ -843,4 +836,4 @@ def load_checkpoint(path):
     expect_end(blob, offset, path)
     if not _weights_in_range(net.weights):
         raise ParseError(f"{path}: a stored weight is not finite")
-    return net, read_sidecar(path + ".json")
+    return net, read_sidecar(sidecar_path(path, checkpoint=True))

@@ -1,5 +1,6 @@
 """Command-line surface: reproducibility, exit codes, and report formats."""
 
+import argparse
 import json
 import struct
 import subprocess
@@ -8,12 +9,21 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spikecodec import cli
+from spikecodec import cli, core
 from spikecodec.cli import main
 from spikecodec.dataio import read_spikes
 from spikecodec.errors import DegenerateChannelWarning, ParseError
-from spikecodec.snn import CubaNetwork, load_checkpoint, save_checkpoint
+from spikecodec.evaluation import DEFAULT_P_LIST, SchemeEvaluation
+from spikecodec.snn import (
+    CubaNetwork,
+    EpochStats,
+    TrainResult,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 SYNTH_SMALL = ["synth", "--classes", "3", "--samples-per-class", "4",
                "--duration", "1.0"]
@@ -317,6 +327,23 @@ class TestUnusablePaths:
         assert_one_error_line(capsys)
         assert out.read_text() == ""
 
+    def test_unwritable_checkpoint_sidecar_leaves_no_checkpoint(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "checkpoint.cuba.json").mkdir(parents=True)  # its rename fails
+        assert run(["train", *SYNTH_SMALL, "--scheme", "ttfs-linear", "--steps", "5",
+                    "--epochs", "1", "--out", out]) == 3
+        assert_one_error_line(capsys, "checkpoint.cuba.json")
+        assert [p.name for p in out.iterdir()] == ["checkpoint.cuba.json"]
+
+    def test_unwritable_report_csv_leaves_no_report_json(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "report.csv").mkdir(parents=True)  # its rename fails
+        assert run(["evaluate", *SYNTH_SMALL, "--schemes", "binary6", "--epochs", "1",
+                    "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "report.csv" in err
+        assert [p.name for p in out.iterdir()] == ["report.csv"]
+
 
 class TestVersion:
     def test_building_the_parser_starts_no_subprocess(self, monkeypatch):
@@ -443,6 +470,19 @@ class TestTrainInferPerturb:
         captured = capsys.readouterr()
         assert "w.json" in captured.err and captured.out == ""
         assert not out.exists()
+
+    def test_perturb_output_named_as_another_outputs_tmp_file_is_refused(
+            self, spikes_dir, tmp_path, capsys):
+        # o/w.spk is written through o/w.spk.tmp, the other output's name
+        copies = []
+        for name, dst in (("a", "w.spk.tmp"), ("b", "w.spk")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / dst).write_bytes((spikes_dir / "w00000.spk").read_bytes())
+            copies.append(tmp_path / name / dst)
+        out = tmp_path / "o"
+        assert run(["perturb", *copies, "--noise-p", "0.1", "--out", out]) == 2
+        assert_one_error_line(capsys, "w.spk.tmp twice")
+        assert list(out.iterdir()) == []
 
     def test_perturb_is_seed_reproducible(self, spikes_dir, tmp_path):
         outs = []
@@ -792,3 +832,96 @@ class TestCsvNormalization:
         # the scaled held-out rows are clamped into [0, 1], not refitted
         assert test_b.min() >= 0.0 and test_b.max() == 1.0
         assert not np.array_equal(test_a, test_b)
+
+
+# CLI fuzzing: every option of build_parser() takes values a valid run
+# accepts, so that deep paths are reached too, or as often the extremes
+# argparse lets through to the command: NaN, +-inf, 0, negatives, 1e300 and
+# 2**64 where the option's type converts them.  Values go in --option=value
+# form, so that "-inf" reaches the option's type instead of parsing as a
+# flag.
+EXTREME_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", str(2 ** 64), str(-2 ** 64))
+# a run small enough for the capped blocks, before the drawn options
+SMALL_RUN = {"--samples-per-class": "4", "--duration": "1", "--steps": "5",
+             "--batch": "4"}
+VALID_VALUES = {
+    int: ("1", "2", "3", "5"),
+    float: ("0.05", "0.1", "0.5", "1", "2", "20"),
+    str: ("", "user0", "0.1,0.3", "binary6,delta-mod", "ttfs-log", "x"),
+}
+
+
+def _subcommands():
+    """{name: subparser} of build_parser()."""
+    (subs,) = (a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return subs.choices
+
+
+def _accepts(action, text) -> bool:
+    """Whether argparse passes text on as the value of action."""
+    try:
+        value = (action.type or str)(text)
+    except ValueError:
+        return False
+    return action.choices is None or value in action.choices
+
+
+@st.composite
+def cli_argv(draw, checkpoint, spikes, out):
+    """argv for one subcommand: synth input, or the given files for infer
+    and perturb; the SMALL_RUN values, then every required option and up
+    to three others (a repeated option's last value counts)."""
+    command, sub = draw(st.sampled_from(sorted(_subcommands().items())))
+    argv = [command, *{"infer": [checkpoint, spikes], "perturb": [spikes]}.get(
+        command, ["synth"])]
+    options = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+    for flag in (a.option_strings[0] for a in options):
+        if flag == "--out":
+            argv += [flag, out]
+        elif flag in SMALL_RUN:
+            argv.append(f"{flag}={SMALL_RUN[flag]}")
+    optional = [a for a in options if not a.required]
+    chosen = draw(st.lists(st.sampled_from(optional), max_size=3,
+                           unique=True)) if optional else []
+    for action in [a for a in options if a.required and a.dest != "out"] + chosen:
+        valid = action.choices or VALID_VALUES[action.type or str]
+        extremes = [v for v in EXTREME_VALUES if _accepts(action, v)]
+        value = draw(st.sampled_from(valid) | st.sampled_from(extremes or valid))
+        argv.append(f"{action.option_strings[0]}={value}")
+    return [str(a) for a in argv]
+
+
+class TestFuzzArguments:
+    """Whatever values the options hold, main returns 0, 2, 3 or 4, or
+    argparse exits with 2; no other exception escapes.  Blocks are capped
+    at 4 MiB, and training and the per-variant evaluation are stubbed, so
+    that a valid --epochs 2**64 or --noise-seeds 2**64 ends at once."""
+
+    @pytest.fixture(scope="class")
+    def files(self, model_dir, spikes_dir, tmp_path_factory):
+        def fit(config, train_ds, *args, **kwargs):
+            history = [EpochStats(1, 0.5, 1.0, 1.0)]
+            return [], [], TrainResult(CubaNetwork((2, 3), seed=1), history, 1, 1.0)
+
+        def evaluate_scheme(name, *args, **kwargs):
+            return SchemeEvaluation(name, (1, 7, 20), 1.0, 2.0, 3.0, 0.5,
+                                    dict.fromkeys(DEFAULT_P_LIST, 0.0))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "MAX_BLOCK_BYTES", 4 << 20)
+            patch.setattr(cli, "fit_variant", fit)
+            patch.setattr(cli, "evaluate_scheme", evaluate_scheme)
+            yield (model_dir / "checkpoint.cuba", spikes_dir / "w00000.spk",
+                   tmp_path_factory.mktemp("fuzz") / "out")
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_exit_code_is_documented(self, files, data):
+        argv = data.draw(cli_argv(*files))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+        else:
+            assert code in (0, 2, 3, 4), argv

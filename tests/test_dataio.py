@@ -346,7 +346,7 @@ class TestSpikeFiles:
     def test_failed_rename_leaves_no_temporary_file(self, tmp_path):
         (tmp_path / "t.spk").mkdir()
         with pytest.raises(OSError):
-            atomic_write(tmp_path / "t.spk", b"SPK1")
+            atomic_write([(tmp_path / "t.spk", b"SPK1")])
         assert [p.name for p in tmp_path.iterdir()] == ["t.spk"]
 
     def test_failed_sidecar_write_removes_the_spike_file(self, tmp_path):
@@ -355,6 +355,29 @@ class TestSpikeFiles:
         with pytest.raises(OSError):
             write_spikes(tensor, {}, tmp_path / "t.spk")
         assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_failed_kth_rename_removes_the_files_before_it(self, k, tmp_path):
+        names = ["a.spk", "a.json", "b.spk", "b.json"]
+        (tmp_path / "old.csv").write_text("kept")
+        (tmp_path / names[k - 1]).mkdir()  # the k-th rename fails
+        with pytest.raises(OSError):
+            atomic_write([(tmp_path / name, name.encode()) for name in names])
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [names[k - 1], "old.csv"])
+
+    def test_group_naming_a_path_twice_is_refused_before_writing(self, tmp_path):
+        tensor = SpikeTensor(np.ones((1, 7, 2), dtype=np.int8), 1.0)
+        # the spike file and its sidecar would both be w.json
+        with pytest.raises(ConfigError, match="w.json twice"):
+            write_spikes(tensor, {"label": 1}, tmp_path / "w.json")
+        with pytest.raises(ConfigError, match="twice"):
+            atomic_write([(tmp_path / "a", b"1"), (tmp_path / "b", b"2"),
+                          (tmp_path / "a", b"3")])
+        # b.tmp would be both a file of the group and b's temporary file
+        with pytest.raises(ConfigError, match="b.tmp twice"):
+            atomic_write([(tmp_path / "b.tmp", b"1"), (tmp_path / "b", b"2")])
+        assert list(tmp_path.iterdir()) == []
 
     def test_dimension_count_other_than_three_is_a_shape_error(self, tmp_path):
         # 65 empty dimensions: past numpy's dimension limit, zero bytes long
