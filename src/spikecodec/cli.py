@@ -106,6 +106,13 @@ def _parse_thresholds(text):
         raise ConfigError(f"bad --thresholds value {text!r}") from exc
 
 
+def _out_dir(text: str) -> str:
+    """--out: refuse the empty path, which would mean the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("needs a directory path")
+    return text
+
+
 def _load_dataset(args, split: bool = False) -> WindowedDataset:
     """Windows from a CSV path, or a synthetic set when INPUT is "synth".
 
@@ -210,7 +217,6 @@ def cmd_encode(args) -> int:
     dataset = _load_dataset(args)
     config = _config_from_args(args, args.scheme)
     encoded = encode_dataset(dataset, config)
-    os.makedirs(args.out, exist_ok=True)
     for i, ((tensor, label), user) in enumerate(zip(encoded, dataset.users)):
         metadata = {
             "encoding": config,
@@ -249,7 +255,6 @@ def cmd_evaluate(args) -> int:
               f"AFR={row.afr_pct:.3f}% SNR={row.snr_db:.2f}dB "
               f"acc={row.accuracy:.3f} drops[{drops}]")
 
-    os.makedirs(args.out, exist_ok=True)
     version = version_string()
     reports = []  # written as one group: both files or neither
     if args.report in ("json", "both"):
@@ -289,7 +294,6 @@ def cmd_train(args) -> int:
     encoded_train, _, result = fit_variant(config, train_ds, test_ds, train_cfg,
                                            args.train_seed, track_train_accuracy=True)
 
-    os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "checkpoint.cuba")
     save_checkpoint(result.net, ckpt, train_config=train_cfg, sidecar_extra={
         "encoding": config.to_dict(),
@@ -368,18 +372,11 @@ def cmd_infer(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    names = [os.path.basename(path) for path in args.spikes]
-    # each output writes its spike file and the sidecar beside it
-    written = Counter(names + [sidecar_path(name) for name in names])
-    shared = sorted(name for name, count in written.items() if count > 1)
-    if shared:
-        raise ConfigError(f"inputs share the output name(s) {', '.join(shared)} "
-                          f"in {args.out}")
-    # every input is read and perturbed before --out exists, so a bad
-    # argument or input file leaves nothing behind
+    # every input is read and perturbed before atomic_write checks the
+    # output names and makes --out: a bad input or name leaves nothing
     spec = NoiseSpec(args.noise_p, seed=derive_seed(args.seed, 0))
     files = []
-    for i, (path, name) in enumerate(zip(args.spikes, names)):
+    for i, path in enumerate(args.spikes):
         tensor, metadata = read_spikes(path)
         if args.mode == "auto":
             encoding = _sidecar_encoding(metadata, path)
@@ -392,8 +389,7 @@ def cmd_perturb(args) -> int:
         metadata = dict(metadata)
         metadata["noise"] = {"error_probability": args.noise_p,
                              "seed": args.seed, "mode": mode.value}
-        files += spike_files(noisy, metadata, os.path.join(args.out, name))
-    os.makedirs(args.out, exist_ok=True)
+        files += spike_files(noisy, metadata, os.path.join(args.out, os.path.basename(path)))
     atomic_write(files)  # a failed write leaves none of the outputs behind
     print(f"perturbed {len(args.spikes)} file(s) at p={args.noise_p}")
     return 0
@@ -411,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     enc = subs.add_parser("encode", help="encode windows into SPK1 spike files")
     _dataset_args(enc)
     _scheme_args(enc)
-    enc.add_argument("--out", required=True, help="output directory")
+    enc.add_argument("--out", required=True, type=_out_dir, help="output directory")
     enc.set_defaults(func=cmd_encode)
 
     ev = subs.add_parser("evaluate", help="full per-scheme evaluation report")
@@ -423,14 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--noise-seeds", type=int, default=1,
                     help="error draws averaged per robustness cell (default 1)")
     ev.add_argument("--report", choices=("csv", "json", "both"), default="both")
-    ev.add_argument("--out", required=True, help="report directory")
+    ev.add_argument("--out", required=True, type=_out_dir, help="report directory")
     ev.set_defaults(func=cmd_evaluate)
 
     tr = subs.add_parser("train", help="train the classifier on one scheme")
     _dataset_args(tr)
     _scheme_args(tr)
     _train_args(tr)
-    tr.add_argument("--out", required=True, help="checkpoint directory")
+    tr.add_argument("--out", required=True, type=_out_dir, help="checkpoint directory")
     tr.set_defaults(func=cmd_train)
 
     inf = subs.add_parser("infer", help="classify spike files with a checkpoint")
@@ -444,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     pert.add_argument("--seed", type=int, default=0)
     pert.add_argument("--mode", choices=("auto", "flip-binary", "signed-perturb"),
                       default="auto")
-    pert.add_argument("--out", required=True, help="output directory")
+    pert.add_argument("--out", required=True, type=_out_dir, help="output directory")
     pert.set_defaults(func=cmd_perturb)
     return parser
 

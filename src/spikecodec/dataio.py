@@ -13,6 +13,7 @@ import math
 import os
 import struct
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,19 +350,22 @@ def synth_dataset(n_classes: int, samples_per_class: int, seed: int = 0,
 def atomic_write(files):
     """Write a group of (path, payload) pairs whole or not at all.
 
-    Every payload goes to a sibling .tmp file first; then each is renamed
-    onto its path in order, so a reader never sees part of a file.  When a
-    write or a rename fails, every .tmp file and every file already renamed
-    into place is removed (an older file that one replaced stays replaced)
-    and the error propagates.  A group naming one path twice, its .tmp
-    files counted, is a ConfigError, raised before anything is written.
+    A group naming one path twice, .tmp files counted, is a ConfigError
+    naming the repeats, raised before anything is made.  Then the group's
+    missing directories are made, and every payload goes to a sibling .tmp
+    file; each is then renamed onto its path in order.  When a write or a
+    rename fails, every .tmp file and every file already renamed is removed
+    (an older file one replaced stays replaced) and the error propagates.
     """
     files = [(os.fspath(path), payload) for path, payload in files]
     paths = [path for path, _ in files]
-    names = paths + [path + ".tmp" for path in paths]
-    if len(set(names)) < len(names):
-        repeated = min(n for n in names if names.count(n) > 1)
-        raise ConfigError(f"one group of files names {repeated} twice")
+    counts = Counter(paths)
+    repeated = (sorted(path for path, n in counts.items() if n > 1)
+                or sorted(path + ".tmp" for path in paths if path + ".tmp" in counts))
+    if repeated:
+        raise ConfigError(f"one group of files names {', '.join(repeated)} twice")
+    for directory in sorted({os.path.dirname(path) for path in paths} - {""}):
+        os.makedirs(directory, exist_ok=True)
     renamed = 0
     try:
         for path, payload in files:

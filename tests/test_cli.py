@@ -259,6 +259,17 @@ class TestArgumentErrors:
         assert captured.err.startswith("error: ") and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [EVALUATE, ENCODE, TRAIN, PERTURB],
+                             ids=lambda args: args[0])
+    def test_empty_out_is_a_usage_error(self, args, tmp_path, capsys, monkeypatch):
+        # an empty path would name the working directory
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run([*args, "--out", ""])
+        assert exc.value.code == 2
+        assert "argument --out: needs a directory path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_training_blocks_over_the_cap_are_refused_before_the_first_row(
             self, tmp_path, capsys, monkeypatch):
         # 819 MB of spikes, under the cap, but 6.5 GB of float64 inputs and
@@ -308,6 +319,24 @@ class TestEmptyInput:
         captured = capsys.readouterr()
         assert captured.err == f"error: no 3s window in {csv_path}\n"
         assert captured.out == ""
+        assert not out.exists()
+
+
+class TestSingleUser:
+    """A synthetic set of one user leaves the training split empty, since
+    that user is held out: a data error (exit 3) before anything is
+    written."""
+
+    @pytest.mark.parametrize("command, message", (
+        (["evaluate", "--schemes", "binary6"],
+         "evaluation needs non-empty train and test splits"),
+        (["train", "--scheme", "binary6"], "no training windows to fit on"),
+    ), ids=("evaluate", "train"))
+    def test_is_data_error(self, command, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run([command[0], *SYNTH_SMALL, "--users", "1", *command[1:],
+                    "--epochs", "1", "--out", out]) == 3
+        assert_one_error_line(capsys, message)
         assert not out.exists()
 
 
@@ -482,7 +511,7 @@ class TestTrainInferPerturb:
         out = tmp_path / "o"
         assert run(["perturb", *copies, "--noise-p", "0.1", "--out", out]) == 2
         assert_one_error_line(capsys, "w.spk.tmp twice")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_perturb_is_seed_reproducible(self, spikes_dir, tmp_path):
         outs = []

@@ -3,6 +3,7 @@ and the SPK1 spike-file format."""
 
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -377,6 +378,18 @@ class TestSpikeFiles:
         # b.tmp would be both a file of the group and b's temporary file
         with pytest.raises(ConfigError, match="b.tmp twice"):
             atomic_write([(tmp_path / "b.tmp", b"1"), (tmp_path / "b", b"2")])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_group_makes_its_missing_directories(self, tmp_path):
+        atomic_write([(tmp_path / "a" / "b" / "x", b"1"), (tmp_path / "c" / "y", b"2")])
+        assert (tmp_path / "a" / "b" / "x").read_bytes() == b"1"
+        assert (tmp_path / "c" / "y").read_bytes() == b"2"
+
+    def test_refused_group_makes_no_directory(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        # every repeated path is named
+        with pytest.raises(ConfigError, match=re.escape(f"names {out / 'x'}, {out / 'y'} twice")):
+            atomic_write([(out / name, b"1") for name in ("x", "y", "x", "z", "y")])
         assert list(tmp_path.iterdir()) == []
 
     def test_dimension_count_other_than_three_is_a_shape_error(self, tmp_path):
