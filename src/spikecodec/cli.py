@@ -31,7 +31,6 @@ from .dataio import (
     spike_files,
     synth_dataset,
     window,
-    write_spikes,
 )
 from .encoders import encode
 from .errors import (
@@ -55,14 +54,15 @@ from .evaluation import (
 from .metrics import NoiseMode, NoiseSpec, inject_noise, noise_mode_for
 from .snn import (
     TrainConfig,
+    checkpoint_files,
     classify_detailed,
     dataset_fingerprint,
     load_checkpoint,
-    save_checkpoint,
 )
-# train is no longer called here but stays bound: bench/run.py times it at
-# this binding too
-from .snn import train  # noqa: F401
+# write_spikes, save_checkpoint and train are no longer called here but stay
+# bound: bench/run.py times them at these bindings too
+from .dataio import write_spikes  # noqa: F401
+from .snn import save_checkpoint, train  # noqa: F401
 
 SCHEME_CHOICES = tuple(VARIANTS)
 
@@ -217,6 +217,7 @@ def cmd_encode(args) -> int:
     dataset = _load_dataset(args)
     config = _config_from_args(args, args.scheme)
     encoded = encode_dataset(dataset, config)
+    files = []
     for i, ((tensor, label), user) in enumerate(zip(encoded, dataset.users)):
         metadata = {
             "encoding": config,
@@ -225,7 +226,8 @@ def cmd_encode(args) -> int:
             "user": user,
             "window_index": i,
         }
-        write_spikes(tensor, metadata, os.path.join(args.out, f"w{i:05d}.spk"))
+        files += spike_files(tensor, metadata, os.path.join(args.out, f"w{i:05d}.spk"))
+    atomic_write(files)  # a failed write leaves none of the windows behind
     print(f"scheme={args.scheme} windows={len(encoded)} "
           f"AFR={100.0 * mean_afr(encoded):.3f}%")
     return 0
@@ -295,7 +297,7 @@ def cmd_train(args) -> int:
                                            args.train_seed, track_train_accuracy=True)
 
     ckpt = os.path.join(args.out, "checkpoint.cuba")
-    save_checkpoint(result.net, ckpt, train_config=train_cfg, sidecar_extra={
+    files = checkpoint_files(result.net, ckpt, train_config=train_cfg, sidecar_extra={
         "encoding": config.to_dict(),
         "label_names": list(train_ds.label_names),
         "dataset_fingerprint": dataset_fingerprint(encoded_train),
@@ -308,8 +310,9 @@ def cmd_train(args) -> int:
         f"{h.epoch},{h.loss:.8f},{h.train_accuracy:.6f},{h.test_accuracy:.6f}"
         for h in result.history
     ]
-    atomic_write([(os.path.join(args.out, "history.csv"),
-                   ("\n".join(lines) + "\n").encode())])
+    files.append((os.path.join(args.out, "history.csv"),
+                  ("\n".join(lines) + "\n").encode()))
+    atomic_write(files)  # the checkpoint, its sidecar and the history, or none
     print(f"best epoch {result.best_epoch}: "
           f"test accuracy {result.best_test_accuracy:.3f} -> {ckpt}")
     return 0

@@ -72,10 +72,6 @@ class SessionRecord:
     def n_rows(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[1]
-
 
 def load_csv(path) -> list:
     """Parse a sensor CSV into session records.

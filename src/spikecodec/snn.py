@@ -759,15 +759,16 @@ def _neuron_constants() -> dict:
             "voltage_decay": VOLTAGE_DECAY}
 
 
-def save_checkpoint(net: CubaNetwork, path, train_config: TrainConfig = None,
-                    sidecar_extra: dict = None):
-    """Write a versioned binary checkpoint and its JSON sidecar as one group.
+def checkpoint_files(net: CubaNetwork, path, train_config: TrainConfig = None,
+                     sidecar_extra: dict = None) -> list:
+    """The (path, payload) pairs of a checkpoint: the versioned CUB1 file
+    and its JSON sidecar.
 
     Layout: magic, version u16, layer count u8, layer sizes u32, dropout f64,
     per layer the neuron constants THRESHOLD, CURRENT_DECAY and VOLTAGE_DECAY
     as 3 x f64, then per-layer weights as little-endian f32 row-major.  A NaN
-    weight, or one beyond WEIGHT_LIMIT, raises DivergenceError before
-    anything is written.
+    weight, or one beyond WEIGHT_LIMIT, raises DivergenceError before any
+    payload is built.
     """
     path = os.fspath(path)
     if not _weights_in_range(net.weights):
@@ -792,8 +793,14 @@ def save_checkpoint(net: CubaNetwork, path, train_config: TrainConfig = None,
         sidecar.update(sidecar_extra)
     weights = b"".join(np.ascontiguousarray(w, dtype="<f4").tobytes()
                        for w in net.weights)
-    atomic_write([(path, header + weights),
-                  (sidecar_path(path, checkpoint=True), json_bytes(sidecar))])
+    return [(path, header + weights),
+            (sidecar_path(path, checkpoint=True), json_bytes(sidecar))]
+
+
+def save_checkpoint(net: CubaNetwork, path, train_config: TrainConfig = None,
+                    sidecar_extra: dict = None):
+    """Write a checkpoint and its sidecar (checkpoint_files) as one group."""
+    atomic_write(checkpoint_files(net, path, train_config, sidecar_extra))
 
 
 def load_checkpoint(path):

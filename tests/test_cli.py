@@ -321,6 +321,26 @@ class TestEmptyInput:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", (
+        ("", "{path}: empty file"),
+        ("acc_x,acc_y,acc_z,gyro_x,gyro_y,gyro_z,hbc,label,user\n",
+         "no 3s window in {path}"),
+    ), ids=("zero-byte", "header-only"))
+    @pytest.mark.parametrize("command", (["encode", "--scheme", "binary6"],
+                                         ["train", "--scheme", "binary6"],
+                                         ["evaluate"]), ids=lambda c: c[0])
+    def test_csv_without_rows_is_data_error(self, command, text, message, tmp_path,
+                                            capsys):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text(text)
+        out = tmp_path / "out"
+        assert run([command[0], csv_path, "--duration", "3", *command[1:],
+                    "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(path=csv_path)}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestSingleUser:
     """A synthetic set of one user leaves the training split empty, since
@@ -363,6 +383,21 @@ class TestUnusablePaths:
                     "--epochs", "1", "--out", out]) == 3
         assert_one_error_line(capsys, "checkpoint.cuba.json")
         assert [p.name for p in out.iterdir()] == ["checkpoint.cuba.json"]
+
+    def test_unwritable_history_leaves_no_checkpoint(self, tmp_path, capsys):
+        out = tmp_path / "model"
+        (out / "history.csv").mkdir(parents=True)  # its rename fails
+        assert run(["train", *SYNTH_SMALL, "--scheme", "binary6", "--epochs", "1",
+                    "--out", out]) == 3
+        assert_one_error_line(capsys, "history.csv")
+        assert [p.name for p in out.iterdir()] == ["history.csv"]
+
+    def test_unwritable_later_window_leaves_no_window(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "w00005.json").mkdir(parents=True)  # the sixth window's sidecar
+        assert run(["encode", *SYNTH_SMALL, "--scheme", "binary6", "--out", out]) == 3
+        assert_one_error_line(capsys, "w00005.json")
+        assert [p.name for p in out.iterdir()] == ["w00005.json"]
 
     def test_unwritable_report_csv_leaves_no_report_json(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -51,6 +51,10 @@ class TestSignalValidation:
         with pytest.raises(RaggedChannelsError):
             Signal([[0.5] * 40, [0.5] * 39], 20.0)
 
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(ShapeError, match="must be 2-D .* got ndim=3"):
+            Signal(np.zeros((1, 2, 5)), 20.0)
+
     def test_non_finite(self):
         data = np.full((2, 5), 0.5)
         data[1, 2] = np.nan
@@ -158,6 +162,13 @@ class TestEncodingConfig:
         # JSON has no infinity, so a sidecar could not record such a level
         with pytest.raises(ThresholdOrderError, match="positive and finite"):
             EncodingConfig(Scheme.DELTA_MOD, thresholds=((0.1, 0.2), (0.1, float("inf"))))
+        with pytest.raises(ThresholdOrderError, match="threshold bank is empty"):
+            EncodingConfig(Scheme.DELTA_MOD, thresholds=[[]])
+
+    @pytest.mark.parametrize("n_bits", (0, 17))
+    def test_bit_depth_outside_one_to_sixteen_rejected(self, n_bits):
+        with pytest.raises(ConfigError, match=f"n_bits must be in 1..16, got {n_bits}"):
+            EncodingConfig(Scheme.BINARY, n_bits=n_bits)
 
     def test_round_trips_through_dict(self):
         cfg = EncodingConfig(Scheme.DELTA_MOD, thresholds=(0.1, 0.2), seed=9)

@@ -25,7 +25,13 @@ from spikecodec import (
     write_spikes,
 )
 from spikecodec.dataio import DEFAULT_LABELS, SessionRecord, atomic_write
-from spikecodec.snn import CubaNetwork, TrainConfig, load_checkpoint, save_checkpoint
+from spikecodec.snn import (
+    CubaNetwork,
+    TrainConfig,
+    checkpoint_files,
+    load_checkpoint,
+    save_checkpoint,
+)
 from spikecodec.errors import (
     BadMagicError,
     ConfigError,
@@ -129,6 +135,11 @@ def test_session_record_leaves_the_callers_array_writeable():
     assert rec.values[0, 0] == 0.0 and not rec.values.flags.writeable
 
 
+def test_session_record_of_one_dimension_is_a_shape_error():
+    with pytest.raises(ShapeError, match="session values must be 2-D, got ndim=1"):
+        SessionRecord(np.zeros(7), "Squat", "u")
+
+
 class TestNormalize:
     def test_midpoint_of_symmetric_range(self):
         rec = SessionRecord(np.array([[-2.0], [0.0], [2.0]]), "Squat", "u")
@@ -178,6 +189,11 @@ class TestWindow:
         ds = window(records, 20.0, seconds=2.0)
         assert len(ds) == 0
 
+    def test_label_outside_the_vocabulary_is_a_label_error(self):
+        rec = SessionRecord(np.zeros((40, 7)), "Juggling", "u")
+        with pytest.raises(LabelError, match="label 'Juggling' not in vocabulary"):
+            window([rec], 20.0, seconds=2.0)
+
     def test_stride_overlap(self):
         rec = SessionRecord(np.zeros((80, 7)), "Squat", "u")
         ds = window([rec], 20.0, seconds=2.0, stride_seconds=1.0)
@@ -197,6 +213,11 @@ class TestInterpolateLinear:
         out = interpolate_linear(sig, 5)
         np.testing.assert_allclose(out.data[0], [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
         assert out.sample_rate_hz == 100.0
+
+    @pytest.mark.parametrize("resample", (interpolate_linear, downsample))
+    def test_factor_below_one_is_refused(self, resample):
+        with pytest.raises(ConfigError, match="factor must be >= 1, got 0"):
+            resample(Signal([[0.0, 1.0]], 20.0), 0)
 
     def test_factor_one_is_identity(self):
         sig = Signal([[0.1, 0.4, 0.2]], 20.0)
@@ -300,6 +321,13 @@ class TestSpikeFiles:
         (tmp_path / "t.json").write_text(json.dumps({"window_steps": steps}))
         with pytest.raises(ParseError, match="window_steps must be an integer"):
             read_spikes(path)
+
+    def test_sidecar_holding_an_array_is_a_parse_error(self, tmp_path):
+        write_spikes(SpikeTensor(np.ones((1, 7, 2), dtype=np.int8), 1.0), {},
+                     tmp_path / "t.spk")
+        (tmp_path / "t.json").write_text("[1]")
+        with pytest.raises(ParseError, match="sidecar holds list, expected a JSON object"):
+            read_spikes(tmp_path / "t.spk")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.spk"
@@ -441,6 +469,15 @@ class TestFileBytes:
                    for p in tmp_path.iterdir()}
         assert not list(tmp_path.glob("*.tmp"))
         assert digests == self.PINNED
+        # checkpoint_files builds the very bytes save_checkpoint writes
+        group = tmp_path / "group"
+        atomic_write(checkpoint_files(
+            net, group / "m.cuba",
+            train_config=TrainConfig(epochs=3, learning_rate=2e-3, batch_size=8, seed=4),
+            sidecar_extra={"label_names": ["a", "b"], "best_epoch": 2}))
+        assert sorted(p.name for p in group.iterdir()) == ["m.cuba", "m.cuba.json"]
+        for p in group.iterdir():
+            assert p.read_bytes() == (tmp_path / p.name).read_bytes()
 
         # the same network with layer 1's neuron constants at (0.75, 0.25,
         # 0.125), after the 27-byte prefix and layer 0's 24 bytes, is the

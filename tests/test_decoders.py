@@ -100,6 +100,13 @@ class TestDecodeRate:
         with pytest.raises(ShapeError):
             decode_rate(rate_tensor([10], steps=30), UNIFORM, 7)
 
+    @pytest.mark.parametrize("decode, scheme", ((decode_rate, UNIFORM),
+                                                (decode_ttfs, Scheme.TTFS_LINEAR)))
+    def test_two_trains_are_a_shape_error(self, decode, scheme):
+        tensor = SpikeTensor(np.zeros((2, 1, 50), dtype=np.int8), 1.0, 50)
+        with pytest.raises(ShapeError, match="decoding expects 1 train, got 2"):
+            decode(tensor, scheme, 50)
+
     def test_sample_rate_restored(self):
         sig = decode_rate(rate_tensor([25, 10, 0]), UNIFORM, 50)
         assert sig.sample_rate_hz == pytest.approx(20.0)

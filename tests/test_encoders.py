@@ -98,6 +98,10 @@ class TestEncodeRate:
         b = encode_rate(sig, BETA, 50, Rng(5))
         assert np.array_equal(a.data, b.data)
 
+    def test_zero_steps_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="steps_per_sample must be >= 1, got 0"):
+            encode_rate(single_value_signal(0.5), UNIFORM, 0, Rng(0))
+
     def test_time_step_metadata(self):
         sig = Signal(np.full((7, 4), 0.5), 20.0)
         t = encode_rate(sig, UNIFORM, 50, Rng(0))
@@ -242,6 +246,10 @@ class TestEncodeDelta:
         sig = Signal(np.full((1, 5), 0.5), 20.0)
         with pytest.raises(ThresholdOrderError):
             encode_delta(sig, thresholds=(0.2, 0.1))
+
+    def test_zero_interp_factor_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="interp_factor must be >= 1, got 0"):
+            encode_delta(Signal(np.full((7, 4), 0.4), 20.0), interp_factor=0)
 
     @pytest.mark.parametrize("interp_factor", (1, 5))
     def test_single_sample_is_a_config_error(self, interp_factor):

@@ -17,16 +17,18 @@ from spikecodec import (
     synth_dataset,
 )
 from spikecodec.core import Rng, derive_seed
+from spikecodec.dataio import WindowedDataset
 from spikecodec.evaluation import (
     SchemeEvaluation,
     encode_dataset,
     evaluate_scheme,
     fit_variant,
     mean_afr,
+    reconstruction_snr_db,
     variant_config,
 )
 from spikecodec.metrics import robustness_sweep
-from spikecodec.errors import ConfigError, ShapeError
+from spikecodec.errors import ConfigError, EmptyDatasetError, ShapeError
 from spikecodec.snn import classify_batch
 
 
@@ -43,6 +45,9 @@ def clean_pass(net, dataset):
 class TestAfr:
     def test_silent_tensor(self):
         assert afr(ternary_tensor(np.zeros((1, 1, 10)))) == 0.0
+
+    def test_tensor_of_no_positions_is_zero(self):
+        assert afr(ternary_tensor(np.zeros((1, 7, 0)))) == 0.0
 
     def test_signed_spikes_count_by_magnitude(self):
         data = np.ones((1, 1, 10), dtype=np.int8)
@@ -87,6 +92,16 @@ class TestSnrDb:
         wobble = 0.5 + 0.05 * np.where(np.arange(100) % 2 == 0, 1.0, -1.0)
         recon = Signal(wobble[None, :], 20.0)
         assert snr_db(orig, recon) == pytest.approx(20.0, abs=1e-9)
+
+    def test_silent_original_is_minus_infinite(self):
+        orig = Signal(np.zeros((1, 10)), 20.0)
+        recon = Signal(np.full((1, 10), 0.1), 20.0)
+        assert snr_db(orig, recon) == -np.inf
+
+    def test_empty_set_is_refused(self):
+        empty = WindowedDataset([], [], [], ("class0",))
+        with pytest.raises(EmptyDatasetError, match="cannot evaluate SNR on an empty"):
+            reconstruction_snr_db(empty, EncodingConfig(Scheme.BINARY))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -168,6 +183,13 @@ class TestInjectNoise:
 
 
 class TestRobustnessSweep:
+    def test_empty_set_is_refused(self):
+        from spikecodec import CubaNetwork
+
+        net = CubaNetwork((7, 8, 3), dropout_p=0.0, seed=2)
+        with pytest.raises(ShapeError, match="needs a non-empty dataset"):
+            robustness_sweep(net, [], [0.1], NoiseMode.FLIP_BINARY, baseline_accuracy=1.0)
+
     def test_zero_probability_gives_zero_drop(self):
         from spikecodec import CubaNetwork, robustness_sweep
 

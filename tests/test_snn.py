@@ -39,6 +39,7 @@ from spikecodec.errors import (
     BadMagicError,
     ConfigError,
     DivergenceError,
+    EmptyDatasetError,
     ParseError,
     ShapeError,
     TruncatedPayloadError,
@@ -52,6 +53,7 @@ from spikecodec.snn import (
     _loss_and_grads,
     _simulate,
     _stack_batch,
+    checkpoint_files,
 )
 
 
@@ -363,6 +365,11 @@ class TestTraining:
         with pytest.raises(DivergenceError, match="float32 range"):
             train(net, data, cfg)
 
+    def test_empty_dataset_rejected(self):
+        net = CubaNetwork((7, 8, 2), dropout_p=0.0)
+        with pytest.raises(EmptyDatasetError, match="training dataset is empty"):
+            train(net, [], TrainConfig(epochs=1))
+
     def test_mixed_shapes_rejected(self):
         a = SpikeTensor(np.zeros((1, 7, 10), dtype=np.int8), 1.0)
         b = SpikeTensor(np.zeros((1, 7, 20), dtype=np.int8), 1.0)
@@ -392,6 +399,18 @@ class TestTrainConfig:
         cfg = TrainConfig(epochs=np.int64(3), batch_size=np.uint8(4), seed=np.int32(5))
         assert (cfg.epochs, cfg.batch_size, cfg.seed) == (3, 4, 5)
         assert all(type(v) is int for v in (cfg.epochs, cfg.batch_size, cfg.seed))
+
+
+@pytest.mark.parametrize("kwargs, error, message", (
+    ({"layer_sizes": (3,)}, ConfigError, "needs at least input and output widths"),
+    ({"layer_sizes": (3, 2), "dropout_p": 1.0}, ConfigError,
+     r"dropout_p must be in \[0, 1\), got 1.0"),
+    ({"layer_sizes": (3, 4), "weights": [np.zeros((3, 4))]}, ShapeError,
+     r"layer 0 weights \(3, 4\) != \(4, 3\)"),
+), ids=("one-width", "dropout-one", "weights-of-another-shape"))
+def test_network_layout_rejected(kwargs, error, message):
+    with pytest.raises(error, match=message):
+        CubaNetwork(**kwargs)
 
 
 @pytest.mark.parametrize("cls, required", ((TrainConfig, {}),), ids=("TrainConfig",))
@@ -540,6 +559,9 @@ class TestCheckpoint:
         with pytest.raises(DivergenceError):
             save_checkpoint(net, tmp_path / "model.cuba")
         assert not any(tmp_path.iterdir())
+        # raised by the payload builder, before either payload exists
+        with pytest.raises(DivergenceError, match="model.cuba: a weight is NaN"):
+            checkpoint_files(net, tmp_path / "model.cuba")
 
     @pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf")))
     def test_stored_weight_that_is_not_finite_is_a_parse_error(self, value, tmp_path):
